@@ -184,16 +184,17 @@ TaskJournal::TaskJournal(std::string path, const JournalHeader& header)
   bool fresh = true;
   if (bytes.size() >= kHeaderBytes) {
     ParsedJournal parsed = parse_journal(bytes);  // throws on foreign magic
-    check(same_identity(parsed.header, header_),
-          cat("checkpoint journal ", path_,
-              ": header disagrees with this sweep (config hash, shard identity, or "
-              "dimensions) — the file belongs to a different sweep; remove it or point "
-              "checkpoint_dir elsewhere"));
+    if (!same_identity(parsed.header, header_)) {
+      fail(cat("checkpoint journal ", path_,
+               ": header disagrees with this sweep (config hash, shard identity, or "
+               "dimensions) — the file belongs to a different sweep; remove it or point "
+               "checkpoint_dir elsewhere"));
+    }
     completed_ = std::move(parsed.tasks);
     if (parsed.valid_end < bytes.size()) {
       truncated_ = bytes.size() - parsed.valid_end;
       fs::resize_file(path_, parsed.valid_end, ec);
-      check(!ec, cat("cannot truncate torn checkpoint journal ", path_));
+      if (ec) fail(cat("cannot truncate torn checkpoint journal ", path_));
     }
     bytes_ = parsed.valid_end;
     fresh = false;
@@ -208,11 +209,11 @@ TaskJournal::TaskJournal(std::string path, const JournalHeader& header)
     std::ofstream create(path_, std::ios::binary | std::ios::trunc);
     create.write(head.data(), static_cast<std::streamsize>(head.size()));
     create.flush();
-    check(create.good(), cat("cannot create checkpoint journal ", path_));
+    if (!create.good()) fail(cat("cannot create checkpoint journal ", path_));
     bytes_ = head.size();
   }
   out_.open(path_, std::ios::binary | std::ios::app);
-  check(out_.good(), cat("cannot open checkpoint journal ", path_, " for append"));
+  if (!out_.good()) fail(cat("cannot open checkpoint journal ", path_, " for append"));
 }
 
 void TaskJournal::append_record(std::int32_t kind, std::string_view payload) {
@@ -223,9 +224,11 @@ void TaskJournal::append_record(std::int32_t kind, std::string_view payload) {
   const std::string bytes = out.take();
   out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   out_.flush();
-  check(out_.good(), cat("checkpoint journal ", path_,
-                         ": append failed (disk full?) — a ledger that cannot record "
-                         "completed tasks cannot guarantee a restart"));
+  if (!out_.good()) {
+    fail(cat("checkpoint journal ", path_,
+             ": append failed (disk full?) — a ledger that cannot record "
+             "completed tasks cannot guarantee a restart"));
+  }
   bytes_ += bytes.size();
 }
 

@@ -103,7 +103,7 @@ DispatchReport dispatch_shards(const DispatchOptions& options, const ShardWorker
 
   std::error_code ec;
   fs::create_directories(options.checkpoint_dir, ec);
-  check(!ec, cat("dispatch_shards: cannot create checkpoint_dir ", options.checkpoint_dir));
+  if (ec) fail(cat("dispatch_shards: cannot create checkpoint_dir ", options.checkpoint_dir));
   // Shard files are regenerated each dispatch (workers resume from their
   // journals, so regeneration replays rather than recomputes); a stale
   // file would otherwise satisfy the completion check before its worker
@@ -284,7 +284,7 @@ DispatchReport dispatch_shards(const DispatchOptions& options, const ShardWorker
   for (int s = 0; s < options.shard_count; ++s) {
     const std::string path = dispatch_shard_path(options.checkpoint_dir, s);
     std::ifstream in(path, std::ios::binary);
-    check(static_cast<bool>(in), cat("dispatch_shards: cannot read shard file ", path));
+    if (!in) fail(cat("dispatch_shards: cannot read shard file ", path));
     std::ostringstream buffer;
     buffer << in.rdbuf();
     shards.push_back(decode_sweep_shard(std::move(buffer).str()));

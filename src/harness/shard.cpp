@@ -238,9 +238,10 @@ SweepShard decode_sweep_shard(const std::string& blob) {
 SweepResult merge_sweep_shards(std::vector<SweepShard> shards) {
   check(!shards.empty(), "merge_sweep_shards: no shards");
   const ShardHeader& first = shards.front().header;
-  check(static_cast<std::size_t>(first.shard_count) == shards.size(),
-        cat("merge_sweep_shards: header says ", first.shard_count, " shard(s), got ",
-            shards.size()));
+  if (static_cast<std::size_t>(first.shard_count) != shards.size()) {
+    fail(cat("merge_sweep_shards: header says ", first.shard_count, " shard(s), got ",
+             shards.size()));
+  }
   std::vector<bool> seen(shards.size(), false);
   for (const SweepShard& shard : shards) {
     const ShardHeader& h = shard.header;
@@ -251,11 +252,13 @@ SweepResult merge_sweep_shards(std::vector<SweepShard> shards) {
           "merge_sweep_shards: config hashes disagree — shards were cut from different sweeps");
     // Range-check before using the index anywhere (decoded shards are
     // already validated, but in-memory shard sets arrive unchecked).
-    check(h.shard_index >= 0 && h.shard_index < h.shard_count,
-          cat("merge_sweep_shards: shard_index ", h.shard_index, " out of range for ",
-              h.shard_count, " shard(s)"));
-    check(!seen[static_cast<std::size_t>(h.shard_index)],
-          cat("merge_sweep_shards: duplicate shard index ", h.shard_index));
+    if (h.shard_index < 0 || h.shard_index >= h.shard_count) {
+      fail(cat("merge_sweep_shards: shard_index ", h.shard_index, " out of range for ",
+               h.shard_count, " shard(s)"));
+    }
+    if (seen[static_cast<std::size_t>(h.shard_index)]) {
+      fail(cat("merge_sweep_shards: duplicate shard index ", h.shard_index));
+    }
     seen[static_cast<std::size_t>(h.shard_index)] = true;
   }
 
@@ -269,13 +272,15 @@ SweepResult merge_sweep_shards(std::vector<SweepShard> shards) {
     // with the wrong shard_index) would silently double-count cache
     // stats, stage totals and pipelines when summed below — reject it
     // with a diagnostic instead.
-    check(shard.result.by_point.size() == first.points,
-          cat("merge_sweep_shards: shard ", shard.header.shard_index,
-              " result dimensions disagree with its header"));
+    if (shard.result.by_point.size() != first.points) {
+      fail(cat("merge_sweep_shards: shard ", shard.header.shard_index,
+               " result dimensions disagree with its header"));
+    }
     for (const std::vector<LoopResult>& row : shard.result.by_point) {
-      check(row.size() == first.loops,
-            cat("merge_sweep_shards: shard ", shard.header.shard_index,
-                " result dimensions disagree with its header"));
+      if (row.size() != first.loops) {
+        fail(cat("merge_sweep_shards: shard ", shard.header.shard_index,
+                 " result dimensions disagree with its header"));
+      }
     }
     std::uint64_t owned = 0;
     for (std::uint64_t p = 0; p < first.points; ++p) {
@@ -285,16 +290,18 @@ SweepResult merge_sweep_shards(std::vector<SweepShard> shards) {
           continue;
         }
         const LoopResult& cell = shard.result.by_point[p][i];
-        check(cell.name.empty() && !cell.ok,
-              cat("merge_sweep_shards: shard ", shard.header.shard_index,
-                  " holds a result at (loop ", i, ", point ", p,
-                  ") outside its partition slice — overlapping shards would double-count"));
+        if (!cell.name.empty() || cell.ok) {
+          fail(cat("merge_sweep_shards: shard ", shard.header.shard_index,
+                   " holds a result at (loop ", i, ", point ", p,
+                   ") outside its partition slice — overlapping shards would double-count"));
+        }
       }
     }
-    check(owned == shard.result.pipelines,
-          cat("merge_sweep_shards: shard ", shard.header.shard_index, " reports ",
-              shard.result.pipelines, " pipelines but its slice owns ", owned,
-              " cells — overlapping or mis-partitioned shard set would double-count"));
+    if (owned != shard.result.pipelines) {
+      fail(cat("merge_sweep_shards: shard ", shard.header.shard_index, " reports ",
+               shard.result.pipelines, " pipelines but its slice owns ", owned,
+               " cells — overlapping or mis-partitioned shard set would double-count"));
+    }
 
     merged.cache += shard.result.cache;
     merged.checkpoint += shard.result.checkpoint;

@@ -49,24 +49,36 @@ Topology MachineConfig::topology() const {
 }
 
 void MachineConfig::validate() const {
-  check(!clusters.empty(), cat("machine '", name, "': needs at least one cluster"));
+  if (clusters.empty()) fail(cat("machine '", name, "': needs at least one cluster"));
   for (int c = 0; c < cluster_count(); ++c) {
     const ClusterConfig& cc = cluster(c);
-    check(cc.fus(FuKind::kLS) >= 1 && cc.fus(FuKind::kAdd) >= 1 && cc.fus(FuKind::kMul) >= 1,
-          cat("machine '", name, "', cluster ", c, ": every compute FU kind needs >= 1 instance"));
+    if (cc.fus(FuKind::kLS) < 1 || cc.fus(FuKind::kAdd) < 1 || cc.fus(FuKind::kMul) < 1) {
+      fail(cat("machine '", name, "', cluster ", c, ": every compute FU kind needs >= 1 instance"));
+    }
     check(cc.fus(FuKind::kCopy) >= 0, "negative copy FU count");
-    check(cc.private_queues >= 1, cat("machine '", name, "', cluster ", c, ": needs private queues"));
-    check(cc.queue_depth >= 1, cat("machine '", name, "', cluster ", c, ": needs queue depth"));
+    if (cc.private_queues < 1) {
+      fail(cat("machine '", name, "', cluster ", c, ": needs private queues"));
+    }
+    if (cc.queue_depth < 1) fail(cat("machine '", name, "', cluster ", c, ": needs queue depth"));
   }
-  if (topology_kind == TopologyKind::kMesh) {
-    check(mesh_rows >= 1 && mesh_cols >= 1 && mesh_rows * mesh_cols == cluster_count(),
-          cat("machine '", name, "': mesh of ", mesh_rows, "x", mesh_cols, " does not cover ",
-              cluster_count(), " clusters"));
+  if (topology_kind == TopologyKind::kMesh &&
+      (mesh_rows < 1 || mesh_cols < 1 || mesh_rows * mesh_cols != cluster_count())) {
+    fail(cat("machine '", name, "': mesh of ", mesh_rows, "x", mesh_cols, " does not cover ",
+             cluster_count(), " clusters"));
   }
   if (cluster_count() > 1) {
     const std::string_view kind = topology_kind_name(topology_kind);
-    check(segment.queues_per_segment >= 1, cat("machine '", name, "': ", kind, " needs queues"));
-    check(segment.queue_depth >= 1, cat("machine '", name, "': ", kind, " needs queue depth"));
+    if (segment.queues_per_segment < 1) fail(cat("machine '", name, "': ", kind, " needs queues"));
+    if (segment.queue_depth < 1) fail(cat("machine '", name, "': ", kind, " needs queue depth"));
+  }
+  // A result lands in a later cycle than its issue; the simulator's push
+  // calendar relies on it.
+  for (int op = 0; op < kNumOpcodes; ++op) {
+    const auto opcode = static_cast<Opcode>(op);
+    if (latency.of(opcode) < 1) {
+      fail(cat("machine '", name, "': latency of ", opcode_name(opcode), " is ",
+               latency.of(opcode), ", must be >= 1"));
+    }
   }
 }
 
@@ -187,13 +199,15 @@ void serialize_machine(BlobWriter& out, const MachineConfig& machine) {
 }
 
 MachineConfig deserialize_machine(BlobReader& in, int version) {
-  check(version >= 1 && version <= kMachineCodecVersion,
-        cat("deserialize_machine: unsupported codec version ", version));
+  if (version < 1 || version > kMachineCodecVersion) {
+    fail(cat("deserialize_machine: unsupported codec version ", version));
+  }
   MachineConfig machine;
   machine.name = in.get_string();
   const std::int32_t clusters = in.get_i32();
-  check(clusters >= 0 && clusters <= (1 << 16),
-        cat("deserialize_machine: implausible cluster count ", clusters));
+  if (clusters < 0 || clusters > (1 << 16)) {
+    fail(cat("deserialize_machine: implausible cluster count ", clusters));
+  }
   machine.clusters.resize(static_cast<std::size_t>(clusters));
   for (ClusterConfig& cc : machine.clusters) {
     for (int& n : cc.fu_count) n = in.get_i32();
@@ -205,16 +219,17 @@ MachineConfig deserialize_machine(BlobReader& in, int version) {
   for (int& l : machine.latency.latency) l = in.get_i32();
   if (version >= 2) {
     const std::int32_t kind = in.get_i32();
-    check(kind >= 0 && kind <= static_cast<std::int32_t>(TopologyKind::kCrossbar),
-          cat("deserialize_machine: bad topology kind ", kind));
+    if (kind < 0 || kind > static_cast<std::int32_t>(TopologyKind::kCrossbar)) {
+      fail(cat("deserialize_machine: bad topology kind ", kind));
+    }
     machine.topology_kind = static_cast<TopologyKind>(kind);
     machine.mesh_rows = in.get_i32();
     machine.mesh_cols = in.get_i32();
-    if (machine.topology_kind == TopologyKind::kMesh) {
-      check(machine.mesh_rows >= 1 && machine.mesh_cols >= 1 &&
-                static_cast<long long>(machine.mesh_rows) * machine.mesh_cols == clusters,
-            cat("deserialize_machine: mesh of ", machine.mesh_rows, "x", machine.mesh_cols,
-                " does not cover ", clusters, " clusters"));
+    if (machine.topology_kind == TopologyKind::kMesh &&
+        (machine.mesh_rows < 1 || machine.mesh_cols < 1 ||
+         static_cast<long long>(machine.mesh_rows) * machine.mesh_cols != clusters)) {
+      fail(cat("deserialize_machine: mesh of ", machine.mesh_rows, "x", machine.mesh_cols,
+               " does not cover ", clusters, " clusters"));
     }
   }
   return machine;

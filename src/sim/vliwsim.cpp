@@ -1,8 +1,9 @@
 #include "sim/vliwsim.h"
 
 #include <algorithm>
-#include <deque>
-#include <map>
+#include <limits>
+#include <numeric>
+#include <tuple>
 
 #include "sim/eval.h"
 #include "sim/interp.h"
@@ -22,8 +23,56 @@ struct QueueEntry {
 struct PushEvent {
   int queue = -1;
   QueueEntry entry;
-  bool live_in = false;
 };
+
+struct LiveIn {
+  long long when = 0;
+  PushEvent event;
+};
+
+struct DrainPop {
+  long long when = 0;
+  int queue = -1;
+  int producer = -1;
+  long long iteration = 0;
+};
+
+/// Per-op facts the issue loop reads, resolved once per run.
+struct OpPlan {
+  int residue = 0;  // sigma mod II
+  int stage = 0;    // floor(sigma / II)
+  int latency = 0;
+  int arg_queue[2] = {-1, -1};  // value operands: the queue they pop
+  int dest_begin = 0;           // [dest_begin, dest_end) in dest_queues_
+  int dest_end = 0;
+};
+
+/// One queue's contents: a flat buffer with a head index.  The consumed
+/// prefix is dropped once it is at least half the buffer, so pops stay
+/// amortised O(1) and the buffer at most twice the occupancy.
+class Fifo {
+ public:
+  [[nodiscard]] bool empty() const { return head_ == items_.size(); }
+  [[nodiscard]] int size() const { return static_cast<int>(items_.size() - head_); }
+
+  void push(const QueueEntry& entry) { items_.push_back(entry); }
+
+  QueueEntry pop() {
+    const QueueEntry front = items_[head_++];
+    if (2 * head_ >= items_.size()) {
+      items_.erase(items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    return front;
+  }
+
+ private:
+  std::vector<QueueEntry> items_;
+  std::size_t head_ = 0;
+};
+
+/// `value` mod `m` in [0, m).
+long long floor_mod(long long value, long long m) { return ((value % m) + m) % m; }
 
 class Simulator {
  public:
@@ -47,22 +96,34 @@ class Simulator {
     check(schedule_.complete(), "simulate: incomplete schedule");
     check(loop_.op_count() == graph_.node_count(), "simulate: loop/DDG mismatch");
 
-    build_edge_tables();
+    build_op_plans();
     schedule_live_ins();
     schedule_drain_pops();
-    schedule_issues();
+    build_issue_lists();
 
-    queues_.assign(allocation_.queues.size(), {});
-    depth_limit_.assign(allocation_.queues.size(), 0);
-    for (std::size_t q = 0; q < allocation_.queues.size(); ++q) {
+    const std::size_t queues = allocation_.queues.size();
+    queues_.assign(queues, {});
+    depth_limit_.assign(queues, 0);
+    last_push_.assign(queues, std::numeric_limits<long long>::min());
+    last_pop_.assign(queues, std::numeric_limits<long long>::min());
+    for (std::size_t q = 0; q < queues; ++q) {
       const QueueDomain& domain = allocation_.queues[q].domain;
       depth_limit_[q] = domain.kind == QueueDomain::Kind::kPrivate
                             ? machine_.cluster(domain.index).queue_depth
                             : machine_.segment.queue_depth;
     }
 
+    const int ii = schedule_.ii();
+    int residue = static_cast<int>(floor_mod(t_min_, ii));
+    long long round = (t_min_ - residue) / ii;  // t == round * ii + residue
+    int ring_slot = static_cast<int>(floor_mod(t_min_, static_cast<long long>(ring_.size())));
     for (long long t = t_min_; t <= t_max_ && failure_.empty(); ++t) {
-      step(t);
+      step(t, residue, round, ring_slot);
+      if (++residue == ii) {
+        residue = 0;
+        ++round;
+      }
+      if (++ring_slot == static_cast<int>(ring_.size())) ring_slot = 0;
     }
 
     const LatencyModel& lat = machine_.latency;
@@ -81,26 +142,47 @@ class Simulator {
     if (failure_.empty()) failure_ = std::move(message);
   }
 
-  /// (dst op, dst arg) -> flow edge, and flow edge -> queue.
-  void build_edge_tables() {
-    edge_of_arg_.assign(static_cast<std::size_t>(graph_.node_count()), {});
-    for (int v = 0; v < graph_.node_count(); ++v) {
-      edge_of_arg_[static_cast<std::size_t>(v)].assign(
-          loop_.ops[static_cast<std::size_t>(v)].args.size(), -1);
-    }
+  /// Flow edge -> queue, then per op: the queue each value operand pops,
+  /// the queues its result is pushed into (out-edge order), and the push
+  /// ring's width (largest latency + 1).
+  void build_op_plans() {
+    const int queues = static_cast<int>(allocation_.queues.size());
     queue_of_edge_.assign(static_cast<std::size_t>(graph_.edge_count()), -1);
     for (std::size_t lt = 0; lt < allocation_.lifetimes.size(); ++lt) {
       const Lifetime& lifetime = allocation_.lifetimes[lt];
-      queue_of_edge_[static_cast<std::size_t>(lifetime.edge)] =
-          allocation_.queue_of[lt];
+      queue_of_edge_[static_cast<std::size_t>(lifetime.edge)] = allocation_.queue_of[lt];
     }
+    plans_.assign(static_cast<std::size_t>(loop_.op_count()), {});
     for (int e = 0; e < graph_.edge_count(); ++e) {
       const DepEdge& edge = graph_.edge(e);
       if (!edge.is_value_flow()) continue;
-      check(queue_of_edge_[static_cast<std::size_t>(e)] >= 0,
-            "simulate: flow edge without an allocated queue");
-      edge_of_arg_[static_cast<std::size_t>(edge.dst)][static_cast<std::size_t>(edge.dst_arg)] = e;
+      const int q = queue_of_edge_[static_cast<std::size_t>(e)];
+      check(q >= 0, "simulate: flow edge without an allocated queue");
+      check(q < queues, "simulate: queue id out of range");
+      plans_[static_cast<std::size_t>(edge.dst)].arg_queue[edge.dst_arg] = q;
     }
+
+    int max_latency = 0;
+    for (int v = 0; v < loop_.op_count(); ++v) {
+      const Op& op = loop_.ops[static_cast<std::size_t>(v)];
+      OpPlan& plan = plans_[static_cast<std::size_t>(v)];
+      const int sigma = schedule_.cycle(v);
+      plan.residue = static_cast<int>(floor_mod(sigma, schedule_.ii()));
+      plan.stage = (sigma - plan.residue) / schedule_.ii();
+      plan.latency = machine_.latency.of(op.opcode);
+      check(plan.latency >= 1, "simulate: op latency below 1 cycle");
+      max_latency = std::max(max_latency, plan.latency);
+      plan.dest_begin = static_cast<int>(dest_queues_.size());
+      if (op.defines_value()) {
+        for (int e : graph_.out_edges(v)) {
+          if (graph_.edge(e).is_value_flow()) {
+            dest_queues_.push_back(queue_of_edge_[static_cast<std::size_t>(e)]);
+          }
+        }
+      }
+      plan.dest_end = static_cast<int>(dest_queues_.size());
+    }
+    ring_.assign(static_cast<std::size_t>(max_latency) + 1, {});
   }
 
   [[nodiscard]] std::int64_t init_value(int op) const {
@@ -108,6 +190,8 @@ class Simulator {
     return inv >= 0 ? invariant_value(options_.seed, inv) : 0;
   }
 
+  /// Live-ins in (cycle, lifetime, iteration) order: within a cycle they
+  /// land before any kernel push.
   void schedule_live_ins() {
     const int ii = schedule_.ii();
     t_min_ = 0;
@@ -117,13 +201,13 @@ class Simulator {
       for (int k = -edge.distance; k < 0; ++k) {
         const long long when = lifetime.push + static_cast<long long>(k) * ii;
         t_min_ = std::min(t_min_, when);
-        PushEvent event;
-        event.queue = queue_of_edge_[static_cast<std::size_t>(lifetime.edge)];
-        event.entry = {edge.src, k, init_value(edge.src)};
-        event.live_in = true;
-        pending_pushes_[when].push_back(event);
+        live_ins_.push_back({when,
+                             {queue_of_edge_[static_cast<std::size_t>(lifetime.edge)],
+                              {edge.src, k, init_value(edge.src)}}});
       }
     }
+    std::stable_sort(live_ins_.begin(), live_ins_.end(),
+                     [](const LiveIn& a, const LiveIn& b) { return a.when < b.when; });
   }
 
   /// Epilogue reads: consumer instances j in [trip, trip+d) pop producer
@@ -136,100 +220,133 @@ class Simulator {
         const long long k = j - edge.distance;
         const long long when = lifetime.pop + k * ii;
         t_max_ = std::max(t_max_, when);
-        drain_pops_[when].push_back(
-            {queue_of_edge_[static_cast<std::size_t>(lifetime.edge)], edge.src, k});
+        drains_.push_back({when, queue_of_edge_[static_cast<std::size_t>(lifetime.edge)],
+                           edge.src, k});
       }
     }
+    std::stable_sort(drains_.begin(), drains_.end(),
+                     [](const DrainPop& a, const DrainPop& b) { return a.when < b.when; });
+    // A drain before the first simulated cycle never executes.
+    while (next_drain_ < drains_.size() && drains_[next_drain_].when < t_min_) ++next_drain_;
   }
 
-  void schedule_issues() {
-    const int ii = schedule_.ii();
-    for (long long j = 0; j < trip_; ++j) {
-      for (int v = 0; v < loop_.op_count(); ++v) {
-        issues_[schedule_.cycle(v) + j * ii].push_back({v, j});
-      }
-    }
+  /// Ops grouped by residue, each group sorted by (stage descending, op
+  /// ascending).  At cycle t = round * II + r the ops of group r issue
+  /// iteration round - stage, so walking a group issues in (iteration, op)
+  /// order.
+  void build_issue_lists() {
+    issue_order_.resize(static_cast<std::size_t>(loop_.op_count()));
+    std::iota(issue_order_.begin(), issue_order_.end(), 0);
+    const auto key = [&](int v) {
+      const OpPlan& plan = plans_[static_cast<std::size_t>(v)];
+      return std::tuple(plan.residue, -plan.stage, v);
+    };
+    std::sort(issue_order_.begin(), issue_order_.end(),
+              [&](int a, int b) { return key(a) < key(b); });
+    residue_begin_.assign(static_cast<std::size_t>(schedule_.ii()) + 1, 0);
+    for (const OpPlan& plan : plans_) ++residue_begin_[static_cast<std::size_t>(plan.residue) + 1];
+    std::partial_sum(residue_begin_.begin(), residue_begin_.end(), residue_begin_.begin());
   }
 
-  void step(long long t) {
-    // Pushes land at the start of the cycle.
-    if (auto it = pending_pushes_.find(t); it != pending_pushes_.end()) {
-      std::map<int, int> port_use;
-      for (const PushEvent& event : it->second) {
-        if (!event.live_in && ++port_use[event.queue] > 1) {
-          fail_sim(cat("two pushes into queue ", event.queue, " at cycle ", t));
-          return;
-        }
-        queues_[static_cast<std::size_t>(event.queue)].push_back(event.entry);
-        ++result_.pushes;
-        const int occupancy =
-            static_cast<int>(queues_[static_cast<std::size_t>(event.queue)].size());
-        result_.max_queue_occupancy = std::max(result_.max_queue_occupancy, occupancy);
-        if (options_.enforce_depth &&
-            occupancy > depth_limit_[static_cast<std::size_t>(event.queue)]) {
-          fail_sim(cat("queue ", event.queue, " exceeded depth ",
-                       depth_limit_[static_cast<std::size_t>(event.queue)], " at cycle ", t));
-          return;
-        }
-      }
-      pending_pushes_.erase(it);
+  /// Appends `entry` to `queue`, tracking occupancy; false on a depth
+  /// violation.
+  bool push(int queue, const QueueEntry& entry, long long t) {
+    Fifo& fifo = queues_[static_cast<std::size_t>(queue)];
+    fifo.push(entry);
+    ++result_.pushes;
+    const int occupancy = fifo.size();
+    result_.max_queue_occupancy = std::max(result_.max_queue_occupancy, occupancy);
+    const int limit = depth_limit_[static_cast<std::size_t>(queue)];
+    if (options_.enforce_depth && occupancy > limit) {
+      fail_sim(cat("queue ", queue, " exceeded depth ", limit, " at cycle ", t));
+      return false;
     }
+    return true;
+  }
+
+  /// Claims `queue`'s pop port for cycle t; false when already used.
+  bool claim_pop_port(int queue, long long t) {
+    long long& last = last_pop_[static_cast<std::size_t>(queue)];
+    if (last == t) return false;
+    last = t;
+    return true;
+  }
+
+  void step(long long t, int residue, long long round, int ring_slot) {
+    // Pushes land at the start of the cycle: live-ins (exempt from the
+    // write port), then kernel pushes in the order they were issued.
+    for (; next_live_in_ < live_ins_.size() && live_ins_[next_live_in_].when == t;
+         ++next_live_in_) {
+      const PushEvent& event = live_ins_[next_live_in_].event;
+      if (!push(event.queue, event.entry, t)) return;
+    }
+    std::vector<PushEvent>& bucket = ring_[static_cast<std::size_t>(ring_slot)];
+    for (const PushEvent& event : bucket) {
+      long long& last = last_push_[static_cast<std::size_t>(event.queue)];
+      if (last == t) {
+        fail_sim(cat("two pushes into queue ", event.queue, " at cycle ", t));
+        return;
+      }
+      last = t;
+      if (!push(event.queue, event.entry, t)) return;
+    }
+    bucket.clear();
 
     // Issues pop operands at the end of the cycle and compute.
-    std::map<int, int> pop_port_use;
-    if (const auto issue_it = issues_.find(t); issue_it != issues_.end()) {
-      for (const auto& [v, j] : issue_it->second) {
-        issue(v, j, t, pop_port_use);
-        if (!failure_.empty()) return;
-      }
+    const int end = residue_begin_[static_cast<std::size_t>(residue) + 1];
+    for (int i = residue_begin_[static_cast<std::size_t>(residue)]; i < end; ++i) {
+      const int v = issue_order_[static_cast<std::size_t>(i)];
+      const long long j = round - plans_[static_cast<std::size_t>(v)].stage;
+      if (j < 0) continue;
+      if (j >= trip_) break;
+      issue(v, j, t, ring_slot);
+      if (!failure_.empty()) return;
     }
+
     // Epilogue drain reads share the cycle's pop ports.
-    if (const auto drain_it = drain_pops_.find(t); drain_it != drain_pops_.end()) {
-      for (const auto& [queue, producer, iteration] : drain_it->second) {
-        if (++pop_port_use[queue] > 1) {
-          fail_sim(cat("two pops from queue ", queue, " at cycle ", t, " (drain)"));
-          return;
-        }
-        auto& fifo = queues_[static_cast<std::size_t>(queue)];
-        if (fifo.empty()) {
-          fail_sim(cat("drain pop on empty queue ", queue, " at cycle ", t));
-          return;
-        }
-        const QueueEntry front = fifo.front();
-        fifo.pop_front();
-        ++result_.pops;
-        if (front.producer != producer || front.iteration != iteration) {
-          fail_sim(cat("FIFO order broken in queue ", queue, " during drain at cycle ", t,
-                       ": expected (", producer, ",", iteration, ") but popped (", front.producer,
-                       ",", front.iteration, ")"));
-          return;
-        }
+    for (; next_drain_ < drains_.size() && drains_[next_drain_].when == t; ++next_drain_) {
+      const auto& [when, queue, producer, iteration] = drains_[next_drain_];
+      if (!claim_pop_port(queue, t)) {
+        fail_sim(cat("two pops from queue ", queue, " at cycle ", t, " (drain)"));
+        return;
+      }
+      Fifo& fifo = queues_[static_cast<std::size_t>(queue)];
+      if (fifo.empty()) {
+        fail_sim(cat("drain pop on empty queue ", queue, " at cycle ", t));
+        return;
+      }
+      const QueueEntry front = fifo.pop();
+      ++result_.pops;
+      if (front.producer != producer || front.iteration != iteration) {
+        fail_sim(cat("FIFO order broken in queue ", queue, " during drain at cycle ", t,
+                     ": expected (", producer, ",", iteration, ") but popped (", front.producer,
+                     ",", front.iteration, ")"));
+        return;
       }
     }
   }
 
-  void issue(int v, long long j, long long t, std::map<int, int>& pop_port_use) {
+  void issue(int v, long long j, long long t, int ring_slot) {
     const Op& op = loop_.ops[static_cast<std::size_t>(v)];
+    const OpPlan& plan = plans_[static_cast<std::size_t>(v)];
 
     std::int64_t in[2] = {0, 0};
     for (std::size_t a = 0; a < op.args.size(); ++a) {
       const Operand& arg = op.args[a];
       switch (arg.kind) {
         case Operand::Kind::kValue: {
-          const int e = edge_of_arg_[static_cast<std::size_t>(v)][a];
-          QVLIW_ASSERT(e >= 0, "value operand without a flow edge");
-          const int q = queue_of_edge_[static_cast<std::size_t>(e)];
-          if (++pop_port_use[q] > 1) {
+          const int q = plan.arg_queue[a];
+          QVLIW_ASSERT(q >= 0, "value operand without a flow edge");
+          if (!claim_pop_port(q, t)) {
             fail_sim(cat("two pops from queue ", q, " at cycle ", t));
             return;
           }
-          auto& fifo = queues_[static_cast<std::size_t>(q)];
+          Fifo& fifo = queues_[static_cast<std::size_t>(q)];
           if (fifo.empty()) {
             fail_sim(cat("op ", v, " iteration ", j, " popped empty queue ", q, " at cycle ", t));
             return;
           }
-          const QueueEntry front = fifo.front();
-          fifo.pop_front();
+          const QueueEntry front = fifo.pop();
           ++result_.pops;
           if (front.producer != arg.value_op || front.iteration != j - arg.distance) {
             fail_sim(cat("FIFO order broken in queue ", q, ": op ", v, " iteration ", j,
@@ -272,17 +389,15 @@ class Simulator {
     ++result_.issues;
     if (op.opcode != Opcode::kCopy && op.opcode != Opcode::kMove) ++result_.useful_issues;
 
-    if (!op.defines_value()) return;
-    const int lat = machine_.latency.of(op.opcode);
-    for (int e : graph_.out_edges(v)) {
-      const DepEdge& edge = graph_.edge(e);
-      if (!edge.is_value_flow()) continue;
-      // Only instances whose consumer exists are pushed... except live-outs
-      // drain naturally; hardware pushes regardless, so we do too.
-      PushEvent event;
-      event.queue = queue_of_edge_[static_cast<std::size_t>(e)];
-      event.entry = {v, j, value};
-      pending_pushes_[t + lat].push_back(event);
+    // Hardware pushes every instance, even one whose consumer iteration
+    // lies past the trip (the epilogue drains it).  plan.latency < ring
+    // width, so the target slot is never the one being processed.
+    if (plan.dest_begin == plan.dest_end) return;
+    int slot = ring_slot + plan.latency;
+    if (slot >= static_cast<int>(ring_.size())) slot -= static_cast<int>(ring_.size());
+    std::vector<PushEvent>& bucket = ring_[static_cast<std::size_t>(slot)];
+    for (int d = plan.dest_begin; d < plan.dest_end; ++d) {
+      bucket.push_back({dest_queues_[static_cast<std::size_t>(d)], {v, j, value}});
     }
   }
 
@@ -298,18 +413,24 @@ class Simulator {
   std::string failure_;
   long long t_min_ = 0;
   long long t_max_ = 0;
-  std::vector<std::vector<int>> edge_of_arg_;
   std::vector<int> queue_of_edge_;
-  std::vector<std::deque<QueueEntry>> queues_;
+  std::vector<OpPlan> plans_;
+  std::vector<int> dest_queues_;
+  // Issue calendar: ops of residue r are issue_order_[residue_begin_[r],
+  // residue_begin_[r + 1]).
+  std::vector<int> issue_order_;
+  std::vector<int> residue_begin_;
+  // Kernel pushes due at cycle t wait in ring_[t mod ring_.size()].
+  std::vector<std::vector<PushEvent>> ring_;
+  std::vector<LiveIn> live_ins_;
+  std::size_t next_live_in_ = 0;
+  std::vector<DrainPop> drains_;
+  std::size_t next_drain_ = 0;
+  std::vector<Fifo> queues_;
   std::vector<int> depth_limit_;
-  std::map<long long, std::vector<PushEvent>> pending_pushes_;
-  std::map<long long, std::vector<std::pair<int, long long>>> issues_;
-  struct DrainPop {
-    int queue;
-    int producer;
-    long long iteration;
-  };
-  std::map<long long, std::vector<DrainPop>> drain_pops_;
+  // Port discipline: the last cycle each queue was pushed / popped.
+  std::vector<long long> last_push_;
+  std::vector<long long> last_pop_;
 };
 
 }  // namespace

@@ -22,6 +22,20 @@
 // Drain pops are tag-checked like any pop: a queue whose tail values
 // blocked another lifetime's pops is still detected.
 //
+// The event core does O(1) work per op instance, push and pop, and
+// allocates nothing per instance.  There is no per-cycle issue calendar:
+// ops are grouped by sigma mod II (sorted by sigma descending, then op),
+// and at cycle t each op of group t mod II issues iteration
+// (t - sigma) / II, read off as (t div II) - (sigma div II) — iteration-
+// ascending, then op-ascending, within the cycle.  Kernel pushes wait in
+// a ring of (max latency + 1) buckets indexed by t mod width; live-ins
+// and drain pops are cycle-sorted vectors walked by cursors, and a
+// cycle's live-ins land before its kernel pushes.  Port discipline
+// compares per-queue last-push/last-pop cycle stamps; FIFOs are flat
+// buffers with a head index.  Every latency must be >= 1
+// (MachineConfig::validate enforces it), or a push could not leave its
+// own issue cycle.
+//
 // The simulator is the end-to-end oracle of the library: a run is `ok`
 // only if every pop returned exactly the expected producer instance and
 // no port or capacity rule broke; `simulate_and_check` additionally

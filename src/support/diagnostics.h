@@ -29,6 +29,15 @@ inline void check(bool condition, std::string_view message) {
   if (!condition) fail(message);
 }
 
+/// String literals select this overload instead of the deleted one below.
+inline void check(bool condition, const char* message) {
+  if (!condition) fail(message);
+}
+
+/// `check(cond, cat(...))` would build its message on every call, even when
+/// the condition holds; write `if (!cond) fail(cat(...))` instead.
+void check(bool condition, std::string&& message) = delete;
+
 /// Internal-invariant flavour of `check`; use for "cannot happen" states.
 #define QVLIW_ASSERT(cond, msg)                             \
   do {                                                      \

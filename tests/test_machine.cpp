@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "machine/machine.h"
 #include "support/diagnostics.h"
 
@@ -161,6 +163,24 @@ TEST(Machine, ValidateCatchesZeroQueues) {
   MachineConfig m = MachineConfig::single_cluster_machine(6);
   m.clusters[0].private_queues = 0;
   EXPECT_THROW(m.validate(), Error);
+}
+
+TEST(Machine, ValidateCatchesNonPositiveLatency) {
+  for (const int latency : {0, -1}) {
+    MachineConfig m = MachineConfig::single_cluster_machine(6);
+    m.latency.latency[static_cast<std::size_t>(Opcode::kLoad)] = latency;
+    try {
+      m.validate();
+      ADD_FAILURE() << "latency " << latency << " accepted";
+    } catch (const Error& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "machine 'single-6fu': latency of load is " + std::to_string(latency) +
+                    ", must be >= 1");
+    }
+  }
+  MachineConfig unit = MachineConfig::single_cluster_machine(6);
+  unit.latency = LatencyModel::unit();
+  EXPECT_NO_THROW(unit.validate());
 }
 
 TEST(Machine, ValidateCatchesEmpty) {

@@ -423,6 +423,27 @@ TEST(VerifyCodec, TamperedBundleFailsVerification) {
   EXPECT_TRUE(report.has_rule(VerifyRule::kQueueLifetime)) << report.summary(0);
 }
 
+TEST(VerifyCodec, NonPositiveLatencyBundleIsArtifactShape) {
+  // The machine codec decodes any int32 latency; validate() is what
+  // rejects a result that would land in its own issue cycle (or earlier).
+  const Artifacts a = prepare(kernel_by_name("daxpy"), MachineConfig::single_cluster_machine(6));
+  for (const int latency : {0, -3}) {
+    VerifyBundle bundle;
+    bundle.loop = a.loop;
+    bundle.machine = a.machine;
+    bundle.machine.latency.latency[static_cast<std::size_t>(Opcode::kFMul)] = latency;
+    bundle.schedule = a.schedule;
+    bundle.has_allocation = true;
+    bundle.allocation = a.allocation;
+    const VerifyBundle copy = decode_verify_bundle(encode_verify_bundle(bundle));
+    EXPECT_EQ(copy.machine.latency.of(Opcode::kFMul), latency);
+    const VerifyReport report = verify_bundle(copy);
+    ASSERT_EQ(report.violations(), 1) << report.summary(0);
+    EXPECT_TRUE(report.has_rule(VerifyRule::kArtifactShape)) << report.summary(0);
+    EXPECT_NE(report.summary(0).find("latency of fmul"), std::string::npos) << report.summary(0);
+  }
+}
+
 // --- pipeline + sweep wiring ----------------------------------------------
 
 TEST(VerifyStage, PolicyControlsChecking) {
