@@ -141,26 +141,20 @@ inline void print_sweep_footer(std::ostream& os, const SweepResult& sweep) {
     os << " " << total.stage << " " << fixed(total.seconds, 2) << "s";
   }
   os << "\n";
-  if (sweep.cache.warm_probes > 0) {
-    os << "[sweep] warm-start: " << sweep.cache.warm_hits << "/" << sweep.cache.warm_probes
-       << " seeded points installed their seed (" << percent(sweep.cache.warm_hit_rate())
-       << ")\n";
-  }
 }
 
-/// Sum of the back-end stages' wall time (the part warm starts shrink).
+/// Sum of the back-end stages' wall time (the part seeded schedules shrink).
 inline double backend_seconds(const SweepResult& sweep) {
   return sweep.stage_seconds(kStageSchedule) + sweep.stage_seconds(kStageQueueAlloc) +
          sweep.stage_seconds(kStageSim);
 }
 
-/// One-line artifact-store / warm-start counter summary (shared by the
+/// One-line artifact-store / sched-memo counter summary (shared by the
 /// sharded and dispatched sweep drivers).
 inline void print_store_counters(std::ostream& os, const SweepResult& sweep) {
   os << "store: front " << sweep.cache.disk_hits << "/" << sweep.cache.disk_probes << ", mii "
-     << sweep.cache.mii_disk_hits << "/" << sweep.cache.mii_disk_probes << ", schedules "
-     << sweep.cache.sched_disk_hits << "/" << sweep.cache.sched_disk_probes << "; warm "
-     << sweep.cache.warm_hits << "/" << sweep.cache.warm_probes << "\n";
+     << sweep.cache.mii_disk_hits << "/" << sweep.cache.mii_disk_probes << "; sched memo "
+     << sweep.cache.sched_memo_hits << "/" << sweep.cache.sched_memo_probes << "\n";
 }
 
 /// Canonical results-only JSON: every semantic LoopResult field, no

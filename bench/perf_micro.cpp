@@ -3,23 +3,22 @@
 // Times the multi-heuristic sweep that the prefix-artifact cache was
 // built for — every point shares the unrolled/copy-inserted loop, DDG and
 // MII bounds of the 4-cluster machine and differs only in back-end
-// scheduling options — once with the cache off, once with it on, and once
-// more with back-end warm starting on top: the points form ascending-
-// budget ladders per heuristic, so each larger-budget point is seeded
-// with its predecessor's accepted schedule and the II search collapses
-// into a verification pass.  Results of all three runs are verified
-// identical (the warm run may differ only in scheduling-effort stats).
-// The cached runs also persist their front-end artifacts and per-machine
-// MII maps to the content-addressed on-disk store (QVLIW_STORE_DIR,
-// default .qvliw-store), so a second invocation of this bench warm-starts
-// from disk and reports nonzero disk hit rates.  Emits a machine-readable
+// scheduling options — once with the cache off and once with it on.  The
+// points form a 2-budget ladder per heuristic, so in the cached run a
+// larger-budget point installs any MII-optimal schedule its ladder
+// sibling already accepted (the task-local sched memo) instead of
+// searching again.  Results of both runs are verified identical.  The
+// cached runs also persist their front-end artifacts and per-machine MII
+// maps to the content-addressed on-disk store (QVLIW_STORE_DIR, default
+// .qvliw-store), so a second invocation of this bench reloads them from
+// disk and reports nonzero disk hit rates.  Emits a machine-readable
 // BENCH_pipeline.json (override the path with QVLIW_BENCH_JSON or
-// argv[1]) with per-stage wall times, cache/disk/warm-start hit rates,
-// per-point backend labels, back-end throughput, and the cache and
-// warm-start speedups, to track the perf trajectory across commits
+// argv[1]) with per-stage wall times, cache/disk/memo hit counts,
+// per-point backend labels, back-end throughput, and the cache speedup,
+// to track the perf trajectory across commits
 // (tools/check_bench_regression.py gates CI on it).
 //
-// A fourth and fifth run exercise the checkpoint ledger: the same cached
+// A third and fourth run exercise the checkpoint ledger: the same cached
 // sweep with SweepOptions::checkpoint_dir set runs once against a fresh
 // journal (every task executed and journaled) and once against the warm
 // journal (every task replayed, nothing executed); both must be
@@ -73,18 +72,6 @@ bool results_identical(const SweepResult& a, const SweepResult& b) {
   return true;
 }
 
-/// Warm-started final IIs must never exceed the cold run's.
-bool iis_never_worse(const SweepResult& cold, const SweepResult& warm) {
-  for (std::size_t p = 0; p < cold.by_point.size(); ++p) {
-    for (std::size_t i = 0; i < cold.by_point[p].size(); ++i) {
-      const LoopResult& c = cold.by_point[p][i];
-      const LoopResult& w = warm.by_point[p][i];
-      if (c.ok && (!w.ok || w.ii > c.ii)) return false;
-    }
-  }
-  return true;
-}
-
 /// Search-effort telemetry summed over every cell of a run (the new
 /// ImsStats fields the arena searcher reports).
 struct SchedTelemetry {
@@ -115,7 +102,7 @@ SchedTelemetry sched_telemetry(const SweepResult& sweep) {
 
 /// The MII-optimality bit is an outcome property (II == MII), so it must
 /// agree cell-for-cell across runs regardless of how each run obtained
-/// its schedule (search, warm seed, or ladder memo install).
+/// its schedule (search or ladder memo install).
 bool mii_optimal_identical(const SweepResult& a, const SweepResult& b) {
   if (a.by_point.size() != b.by_point.size()) return false;
   for (std::size_t p = 0; p < a.by_point.size(); ++p) {
@@ -165,11 +152,6 @@ void write_run(std::ostream& os, const char* name, const SweepResult& sweep) {
      << "    \"disk_hits\": " << sweep.cache.disk_hits << ",\n"
      << "    \"mii_disk_probes\": " << sweep.cache.mii_disk_probes << ",\n"
      << "    \"mii_disk_hits\": " << sweep.cache.mii_disk_hits << ",\n"
-     << "    \"sched_disk_probes\": " << sweep.cache.sched_disk_probes << ",\n"
-     << "    \"sched_disk_hits\": " << sweep.cache.sched_disk_hits << ",\n"
-     << "    \"warm_start_hit_rate\": " << fixed(sweep.cache.warm_hit_rate(), 6) << ",\n"
-     << "    \"warm_probes\": " << sweep.cache.warm_probes << ",\n"
-     << "    \"warm_hits\": " << sweep.cache.warm_hits << ",\n"
      << "    \"sched_memo_probes\": " << sweep.cache.sched_memo_probes << ",\n"
      << "    \"sched_memo_hits\": " << sweep.cache.sched_memo_hits << ",\n"
      << "    \"unroll_probe_factors\": " << sweep.cache.probe_factors << ",\n"
@@ -229,8 +211,8 @@ int run(int argc, char** argv) {
     }
   }
 
-  print_banner(std::cout, "perf — sweep throughput, prefix-cache and warm-start speedups",
-               "shared front ends + seeded budget ladders shrink sweeps to their novel work");
+  print_banner(std::cout, "perf — sweep throughput and prefix-cache speedup",
+               "shared front ends + memoised budget ladders shrink sweeps to their novel work");
   print_backends(std::cout);
   const Suite suite = bench::make_suite();
   bench::print_suite_line(std::cout, suite);
@@ -257,7 +239,6 @@ int run(int argc, char** argv) {
   if (workers > 1) {
     SweepOptions serial_options = uncached_options;
     serial_options.workers = 1;
-    serial_options.parallel = false;
     std::cout << "running serial baseline (1 worker, uncached)...\n";
     serial = SweepRunner(serial_options).run(suite.loops, points);
   }
@@ -278,12 +259,6 @@ int run(int argc, char** argv) {
             << cached_options.store_dir << ")...\n";
   const SweepResult cached = SweepRunner(cached_options).run(suite.loops, points);
 
-  SweepOptions warm_options = cached_options;
-  warm_options.warm_start = true;
-  std::cout << "running warm (budget ladders seed the scheduler with the previous "
-            << "point's schedule)...\n";
-  const SweepResult warm = SweepRunner(warm_options).run(suite.loops, points);
-
   // Checkpoint ledger drill: cold journal (everything executed and
   // journaled), then warm journal (everything replayed).
   const char* ckpt_env = std::getenv("QVLIW_CHECKPOINT_DIR");
@@ -299,41 +274,28 @@ int run(int argc, char** argv) {
   const SweepResult replayed = SweepRunner(ckpt_options).run(suite.loops, points);
 
   const bool identical = results_identical(uncached, cached);
-  const bool warm_identical = results_identical(uncached, warm);
-  const bool never_worse = iis_never_worse(cached, warm);
-  const bool optimality_identical =
-      mii_optimal_identical(uncached, cached) && mii_optimal_identical(uncached, warm);
+  const bool optimality_identical = mii_optimal_identical(uncached, cached);
   const bool checkpoint_identical =
       results_identical(cached, checkpointed) && results_identical(cached, replayed) &&
       replayed.checkpoint.tasks_executed == 0 &&
       replayed.checkpoint.tasks_replayed == checkpointed.checkpoint.tasks_executed;
   const double speedup =
       cached.wall_seconds > 0.0 ? uncached.wall_seconds / cached.wall_seconds : 0.0;
-  const double warm_backend_speedup = bench::backend_seconds(warm) > 0.0
-                                          ? bench::backend_seconds(cached) /
-                                                bench::backend_seconds(warm)
-                                          : 0.0;
 
-  TextTable table({"variant", "wall s", "backend s", "loops/s", "cache hit", "warm hit"});
+  TextTable table({"variant", "wall s", "backend s", "loops/s", "cache hit"});
   table.add_row({std::string("uncached"), uncached.wall_seconds,
                  bench::backend_seconds(uncached), uncached.pipelines_per_second(),
-                 percent(uncached.cache.hit_rate()), percent(uncached.cache.warm_hit_rate())});
+                 percent(uncached.cache.hit_rate())});
   table.add_row({std::string("cached"), cached.wall_seconds, bench::backend_seconds(cached),
-                 cached.pipelines_per_second(), percent(cached.cache.hit_rate()),
-                 percent(cached.cache.warm_hit_rate())});
-  table.add_row({std::string("warm"), warm.wall_seconds, bench::backend_seconds(warm),
-                 warm.pipelines_per_second(), percent(warm.cache.hit_rate()),
-                 percent(warm.cache.warm_hit_rate())});
+                 cached.pipelines_per_second(), percent(cached.cache.hit_rate())});
   table.render(std::cout);
   if (workers > 1) {
     std::cout << "\nparallel: " << workers << " workers, " << fixed(parallel_speedup, 2)
               << "x over serial; threaded results identical: "
               << (parallel_identical ? "yes" : "NO — BUG") << "\n";
   }
-  std::cout << "\ncache speedup: " << fixed(speedup, 2) << "x; warm back-end speedup: "
-            << fixed(warm_backend_speedup, 2) << "x; results identical: "
-            << (identical && warm_identical ? "yes" : "NO — BUG")
-            << "; warm IIs never worse: " << (never_worse ? "yes" : "NO — BUG") << "\n"
+  std::cout << "\ncache speedup: " << fixed(speedup, 2)
+            << "x; results identical: " << (identical ? "yes" : "NO — BUG") << "\n"
             << "checkpoint: " << checkpointed.checkpoint.tasks_executed
             << " task(s) journaled cold, " << replayed.checkpoint.tasks_replayed
             << " replayed warm (" << replayed.checkpoint.journal_bytes
@@ -341,16 +303,14 @@ int run(int argc, char** argv) {
             << (checkpoint_identical ? "yes" : "NO — BUG") << "\n"
             << "disk store: " << cached.cache.disk_hits << "/" << cached.cache.disk_probes
             << " front entries + " << cached.cache.mii_disk_hits << "/"
-            << cached.cache.mii_disk_probes << " MII maps + " << warm.cache.sched_disk_hits
-            << "/" << warm.cache.sched_disk_probes
-            << " warm schedules warm (rerun the bench for a fully warm start)\n"
+            << cached.cache.mii_disk_probes
+            << " MII maps (rerun the bench to load every entry from disk)\n"
             << "ladder memo: " << cached.cache.sched_memo_hits << "/"
-            << cached.cache.sched_memo_probes << " MII-optimal installs cached, "
-            << warm.cache.sched_memo_hits << "/" << warm.cache.sched_memo_probes << " warm\n"
-            << "verify: strict on every run; " << cached.verify_checked()
-            << " artifact bundles checked cold, " << warm.verify_checked() << " warm, "
-            << cached.verify_violations() + warm.verify_violations() << " violation(s)\n";
-  bench::print_sweep_footer(std::cout, warm);
+            << cached.cache.sched_memo_probes << " MII-optimal installs\n"
+            << "verify: strict on every run; " << uncached.verify_checked()
+            << " artifact bundles checked uncached, " << cached.verify_checked() << " cached, "
+            << uncached.verify_violations() + cached.verify_violations() << " violation(s)\n";
+  bench::print_sweep_footer(std::cout, cached);
 
   const char* env_path = std::getenv("QVLIW_BENCH_JSON");
   const std::string out_path = !out_override.empty() ? out_override
@@ -384,8 +344,6 @@ int run(int argc, char** argv) {
   out << ",\n";
   write_run(out, "cached", cached);
   out << ",\n";
-  write_run(out, "warm", warm);
-  out << ",\n";
   write_run(out, "checkpoint", checkpointed);
   out << ",\n";
   write_run(out, "checkpoint_replay", replayed);
@@ -393,18 +351,14 @@ int run(int argc, char** argv) {
       << "  \"cache_speedup\": " << fixed(speedup, 3) << ",\n"
       << "  \"parallel_speedup\": " << fixed(parallel_speedup, 3) << ",\n"
       << "  \"parallel_results_identical\": " << (parallel_identical ? "true" : "false") << ",\n"
-      << "  \"warm_backend_speedup\": " << fixed(warm_backend_speedup, 3) << ",\n"
-      << "  \"warm_iis_never_worse\": " << (never_worse ? "true" : "false") << ",\n"
       << "  \"checkpoint_results_identical\": " << (checkpoint_identical ? "true" : "false")
       << ",\n"
       << "  \"mii_optimal_identical\": " << (optimality_identical ? "true" : "false") << ",\n"
-      << "  \"results_identical\": " << (identical && warm_identical ? "true" : "false") << "\n"
+      << "  \"results_identical\": " << (identical ? "true" : "false") << "\n"
       << "}\n";
   std::cout << "\nwrote " << out_path << "\n";
-  return identical && warm_identical && never_worse && checkpoint_identical &&
-                 parallel_identical && optimality_identical
-             ? 0
-             : 1;
+  const bool ok = identical && checkpoint_identical && parallel_identical && optimality_identical;
+  return ok ? 0 : 1;
 }
 
 }  // namespace

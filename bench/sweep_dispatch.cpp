@@ -9,7 +9,7 @@
 // can diff the two byte-for-byte — including across a forced requeue.
 //
 //   sweep_dispatch run --shards N --checkpoint DIR --out FILE.json
-//       [--workers W] [--threads M] [--warm] [--store DIR] [--axis loops|points]
+//       [--workers W] [--threads M] [--store DIR] [--axis loops|points]
 //       [--deadline SECONDS] [--max-attempts K]
 //       [--delay-shard I [--delay-seconds S]]   # straggler injection (attempt 0)
 //   sweep_dispatch --store-stats --store DIR
@@ -52,14 +52,13 @@ struct Args {
   int max_attempts = 3;
   int delay_shard = -1;
   double delay_seconds = 600.0;
-  bool warm = false;
   bool store_stats = false;
 };
 
 int usage() {
   std::cerr << "usage:\n"
             << "  sweep_dispatch run --shards N --checkpoint DIR --out FILE.json\n"
-            << "      [--workers W] [--threads M] [--warm] [--store DIR] [--axis loops|points]\n"
+            << "      [--workers W] [--threads M] [--store DIR] [--axis loops|points]\n"
             << "      [--deadline SECONDS] [--max-attempts K]\n"
             << "      [--delay-shard I [--delay-seconds S]]\n"
             << "  sweep_dispatch --store-stats --store DIR\n";
@@ -118,8 +117,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       } else {
         return false;
       }
-    } else if (flag == "--warm") {
-      args.warm = true;
     } else if (flag == "--store-stats") {
       args.store_stats = true;
     } else {
@@ -141,7 +138,6 @@ int run_mode(const Args& args) {
   options.axis = args.axis;
   options.checkpoint_dir = args.checkpoint;
   options.store_dir = args.store;
-  options.warm_start = args.warm;
   options.straggler_deadline_seconds = args.deadline;
   options.max_attempts = args.max_attempts;
   if (args.delay_shard >= 0) {
@@ -157,7 +153,6 @@ int run_mode(const Args& args) {
   std::cout << "dispatching " << args.shards << " shard(s) over " << processes
             << " worker(s) x " << resolved_worker_threads(args.threads, processes)
             << " thread(s) (" << suite.loops.size() << " loops x " << points.size() << " points"
-            << (args.warm ? ", warm ladders" : "")
             << (args.store.empty() ? "" : ", shared store ") << args.store
             << ", journals in " << args.checkpoint << ", straggler deadline "
             << fixed(args.deadline, 1) << "s)...\n";

@@ -86,7 +86,6 @@ int run(int argc, char** argv) {
     SweepOptions options;
     options.use_cache = false;
     options.workers = workers;
-    options.parallel = workers > 1;
     std::cout << "running with " << workers << " worker(s)...\n";
     const SweepResult sweep = SweepRunner(options).run(suite.loops, points);
 

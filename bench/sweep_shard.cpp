@@ -4,13 +4,13 @@
 // partition, serialises the shard's SweepResult through the portable
 // blob codec, and merges shard files back into the single-process
 // result.  All shards of one sweep share the artifact store (--store),
-// so front-end artifacts, MII maps and warm-start schedules persisted by
-// one process are hits for the others — the distribution seam the
+// so front-end artifacts and MII maps persisted by one process are hits
+// for the others — the distribution seam the
 // ROADMAP's sharding item calls for.
 //
-//   sweep_shard run    --shards N --shard I --out S.shard [--warm] [--store DIR] [--axis loops|points] [--workers M]
+//   sweep_shard run    --shards N --shard I --out S.shard [--store DIR] [--axis loops|points] [--workers M]
 //   sweep_shard merge  --out merged.json S0.shard S1.shard ...
-//   sweep_shard single --out single.json [--warm] [--store DIR] [--workers M]
+//   sweep_shard single --out single.json [--store DIR] [--workers M]
 //
 // `--topology ring|mesh|crossbar` and `--clusters N` (defaults: ring, 4)
 // select the swept machine; merge must be invoked with the same choice so
@@ -52,18 +52,17 @@ struct Args {
   bench::TopologyChoice topology;
   ShardAxis axis = ShardAxis::kLoops;
   bool verify = false;  // strict translation validation on every pipeline
-  bool warm = false;
   bool store_stats = false;
 };
 
 int usage() {
   std::cerr
       << "usage:\n"
-      << "  sweep_shard run    --shards N --shard I --out FILE [--warm] [--store DIR]"
+      << "  sweep_shard run    --shards N --shard I --out FILE [--store DIR]"
       << " [--checkpoint DIR] [--axis loops|points] [--workers M]"
       << " [--topology ring|mesh|crossbar] [--clusters N]\n"
       << "  sweep_shard merge  --out FILE.json [--topology T] [--clusters N] SHARD...\n"
-      << "  sweep_shard single --out FILE.json [--warm] [--store DIR] [--checkpoint DIR]"
+      << "  sweep_shard single --out FILE.json [--store DIR] [--checkpoint DIR]"
       << " [--workers M] [--topology ring|mesh|crossbar] [--clusters N] [--verify]\n"
       << "  sweep_shard --store-stats --store DIR   # inspect a shared store directory\n";
   return 2;
@@ -121,8 +120,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       if (!args.topology.parse_flag(argc, argv, a)) return false;
     } else if (flag == "--verify") {
       args.verify = true;
-    } else if (flag == "--warm") {
-      args.warm = true;
     } else if (flag == "--store-stats") {
       args.store_stats = true;
     } else if (!flag.empty() && flag[0] != '-') {
@@ -151,7 +148,6 @@ int run_mode(const Args& args, bool sharded) {
   SweepOptions options;
   options.store_dir = args.store;
   options.checkpoint_dir = args.checkpoint;
-  options.warm_start = args.warm;
   options.workers = args.workers;
   if (args.verify) options.verify_mode = SweepVerifyMode::kStrict;
   if (sharded) {
@@ -163,7 +159,6 @@ int run_mode(const Args& args, bool sharded) {
   if (sharded) std::cout << args.shard << "/" << args.shards << " ";
   std::cout << "(" << suite.loops.size() << " loops x " << points.size() << " points, "
             << resolved_sweep_workers(options) << " worker(s)"
-            << (args.warm ? ", warm ladders" : "")
             << (args.store.empty() ? "" : ", shared store ") << args.store << ")...\n";
   const SweepResult sweep = SweepRunner(options).run(suite.loops, points);
   std::cout << "ran " << sweep.pipelines << " pipelines in " << fixed(sweep.wall_seconds, 2)

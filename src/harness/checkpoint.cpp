@@ -25,7 +25,8 @@ namespace {
 // v2: LoopResult gained verify_checked/verify_violations (kShardMagic v4).
 // v3: SweepCacheStats gained the verify/alloc memo counters (kShardMagic v5).
 // v4: sched_stats search telemetry + sched-memo counters (kShardMagic v6).
-constexpr std::uint64_t kJournalMagic = 0x514a524e4c000004ULL;  // "QJRNL" + v4
+// v5: the warm-start counters left SweepCacheStats (kShardMagic v7).
+constexpr std::uint64_t kJournalMagic = 0x514a524e4c000005ULL;  // "QJRNL" + v5
 
 constexpr std::int32_t kTaskRecord = 1;
 constexpr std::int32_t kHeartbeatRecord = 2;

@@ -303,7 +303,6 @@ ShardWorker make_sweep_worker(const std::vector<Loop>& loops,
     sweep_options.shard_axis = options.axis;
     sweep_options.store_dir = options.store_dir;
     sweep_options.checkpoint_dir = options.checkpoint_dir;
-    sweep_options.warm_start = options.warm_start;
     // Forked child: the parent's thread pool did not survive the fork, so
     // the child must build its own.  An explicit SweepOptions::workers
     // count does exactly that (a fresh private pool); worker_threads <= 1
@@ -312,7 +311,6 @@ ShardWorker make_sweep_worker(const std::vector<Loop>& loops,
     // keeps procs x threads within the machine.
     const int processes = options.max_workers > 0 ? options.max_workers : options.shard_count;
     const int threads = resolved_worker_threads(options.worker_threads, processes);
-    sweep_options.parallel = threads > 1;
     sweep_options.workers = threads;
     SweepResult result = SweepRunner(sweep_options).run(loops, points);
 

@@ -63,7 +63,6 @@ struct DispatchOptions {
 
   /// Shared artifact store handed to every worker ("" = none).
   std::string store_dir;
-  bool warm_start = false;
 
   /// A worker whose journal has not grown for this long (and whose shard
   /// file has not appeared) is a straggler: killed and requeued.

@@ -19,7 +19,8 @@ namespace {
 // v5: verify/alloc artifact-memo counters joined SweepCacheStats.
 // v6: search telemetry (forced/budget_spent/mii_optimal) joined the
 //     sched_stats provenance; sched-memo counters joined SweepCacheStats.
-constexpr std::uint64_t kShardMagic = 0x5153484152440006ULL;  // "QSHARD" + v6
+// v7: the warm-start seeding counters left SweepCacheStats.
+constexpr std::uint64_t kShardMagic = 0x5153484152440007ULL;  // "QSHARD" + v7
 
 }  // namespace
 
@@ -122,10 +123,9 @@ void serialize_cache_stats(BlobWriter& out, const SweepCacheStats& c) {
   for (const std::uint64_t v :
        {c.invariant_probes, c.invariant_hits, c.unroll_probes, c.unroll_hits, c.front_probes,
         c.front_hits, c.mii_probes, c.mii_hits, c.disk_probes, c.disk_hits, c.mii_disk_probes,
-        c.mii_disk_hits, c.sched_disk_probes, c.sched_disk_hits, c.warm_probes, c.warm_hits,
-        c.probe_factors, c.probe_fallbacks, c.verify_memo_probes, c.verify_memo_hits,
-        c.alloc_memo_probes, c.alloc_memo_hits, c.sched_memo_probes, c.sched_memo_hits,
-        c.fallback_runs}) {
+        c.mii_disk_hits, c.probe_factors, c.probe_fallbacks, c.verify_memo_probes,
+        c.verify_memo_hits, c.alloc_memo_probes, c.alloc_memo_hits, c.sched_memo_probes,
+        c.sched_memo_hits, c.fallback_runs}) {
     out.put_u64(v);
   }
 }
@@ -135,10 +135,9 @@ SweepCacheStats deserialize_cache_stats(BlobReader& in) {
   for (std::uint64_t* v :
        {&c.invariant_probes, &c.invariant_hits, &c.unroll_probes, &c.unroll_hits,
         &c.front_probes, &c.front_hits, &c.mii_probes, &c.mii_hits, &c.disk_probes,
-        &c.disk_hits, &c.mii_disk_probes, &c.mii_disk_hits, &c.sched_disk_probes,
-        &c.sched_disk_hits, &c.warm_probes, &c.warm_hits, &c.probe_factors, &c.probe_fallbacks,
-        &c.verify_memo_probes, &c.verify_memo_hits, &c.alloc_memo_probes, &c.alloc_memo_hits,
-        &c.sched_memo_probes, &c.sched_memo_hits, &c.fallback_runs}) {
+        &c.disk_hits, &c.mii_disk_probes, &c.mii_disk_hits, &c.probe_factors,
+        &c.probe_fallbacks, &c.verify_memo_probes, &c.verify_memo_hits, &c.alloc_memo_probes,
+        &c.alloc_memo_hits, &c.sched_memo_probes, &c.sched_memo_hits, &c.fallback_runs}) {
     *v = in.get_u64();
   }
   return c;

@@ -17,7 +17,7 @@
 // scheduling-effort/provenance fields (stage_times, ImsStats,
 // warm_started), which record how results were obtained, not what they
 // are.  Two sweeps are result-identical iff their fingerprints are equal
-// bytes; the shard-merge and warm-store golden tests compare exactly
+// bytes; the shard-merge and store-backed golden tests compare exactly
 // this.
 #pragma once
 

@@ -84,7 +84,7 @@ struct PipelineContext {
   MiiInfo known_mii;                 // injected by the sweep cache; feasible
                                      // == false means "compute it"
   const WarmStartSeed* seed = nullptr;  // injected by the sweep runner's
-                                        // budget-ladder chaining (may be null)
+                                        // MII-optimality memo (may be null)
   ImsResult sched;
   QueueAllocation allocation;
 

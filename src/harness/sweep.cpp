@@ -30,11 +30,6 @@ double SweepCacheStats::disk_hit_rate() const {
                           : static_cast<double>(disk_hits) / static_cast<double>(disk_probes);
 }
 
-double SweepCacheStats::warm_hit_rate() const {
-  return warm_probes == 0 ? 0.0
-                          : static_cast<double>(warm_hits) / static_cast<double>(warm_probes);
-}
-
 SweepCacheStats& SweepCacheStats::operator+=(const SweepCacheStats& other) {
   invariant_probes += other.invariant_probes;
   invariant_hits += other.invariant_hits;
@@ -48,10 +43,6 @@ SweepCacheStats& SweepCacheStats::operator+=(const SweepCacheStats& other) {
   disk_hits += other.disk_hits;
   mii_disk_probes += other.mii_disk_probes;
   mii_disk_hits += other.mii_disk_hits;
-  sched_disk_probes += other.sched_disk_probes;
-  sched_disk_hits += other.sched_disk_hits;
-  warm_probes += other.warm_probes;
-  warm_hits += other.warm_hits;
   probe_factors += other.probe_factors;
   probe_fallbacks += other.probe_fallbacks;
   verify_memo_probes += other.verify_memo_probes;
@@ -199,8 +190,7 @@ using FrontSeconds = std::array<double, 4>;
 // A FrontEntry is a pure function of (source loop contents, front prefix
 // key); the prefix key already folds in every machine input the front end
 // consults.  Entries are serialised with the portable blob format; the
-// MII map is not persisted (machine-specific and trivially cheap to
-// recompute).
+// per-machine MII maps are persisted under their own keys (mii_store_key).
 //
 // Bump the version whenever a warm store could replay entries the current
 // code would not reproduce: blob-layout changes AND any behavioral change
@@ -210,18 +200,15 @@ using FrontSeconds = std::array<double, 4>;
 // read again.  (Loop-serialization layout changes are self-invalidating:
 // Loop::content_hash is derived from the serialized bytes.)
 //
-// Since the store now also holds accepted *schedules*, "behavioral
-// change" includes the back end: any change to a scheduler backend's
-// search (IMS placement order, partitioning heuristics, budget
-// semantics) must bump the version too, or a warm store replays the old
-// binary's schedule — still valid, so the seed verifier accepts it, but
-// no longer what the current cold search would find, breaking
-// results_identical against the same invocation's cold run.
+// The store holds front entries and MII maps only; schedules are never
+// persisted (the task-local MII-optimality memo is the only schedule
+// seeding path), so back-end search changes need no bump.  Stores written
+// by older builds may also hold schedule entries under a key domain that
+// nothing reads any more.
 //
 // v2: decoders uniformly reject trailing bytes (require_exhausted at
-// every decode site), and the store gained persisted warm-start schedule
-// entries; entries written by v1 code are retired wholesale rather than
-// trusting v1's laxer acceptance.
+// every decode site); entries written by v1 code are retired wholesale
+// rather than trusting v1's laxer acceptance.
 
 constexpr std::uint64_t kStoreFormatVersion = 2;
 
@@ -239,46 +226,6 @@ std::uint64_t mii_store_key(std::uint64_t loop_content_hash, std::uint64_t front
   return hash_combine(hash_combine(hash_combine(hash64(kStoreFormatVersion), hash64(0x4d4949u)),
                                    hash_combine(loop_content_hash, front_key_value)),
                       machine_signature);
-}
-
-// Accepted warm-start schedules are a pure function of (front loop,
-// machine, backend identity/options, placement budget): IMS is
-// deterministic, so the entry under this key is exactly the schedule the
-// point's own cold search would accept.  Seeding a point with its own
-// prior accepted schedule therefore preserves bit-identical results while
-// collapsing the accepting search into one verification pass — including
-// for the *first* point of a ladder, which in-process chaining can never
-// seed.  budget_ratio is folded explicitly because the backend cache key
-// deliberately excludes the ladder axis; cross_machine_seeds is folded
-// because that mode may accept better-than-cold IIs, and its entries must
-// never leak into bit-identity-preserving stores.
-std::uint64_t sched_store_key(std::uint64_t loop_content_hash, const SweepPrefixKeys& keys,
-                              int budget_ratio, bool cross_machine) {
-  const std::uint64_t identity = hash_combine(hash_combine(loop_content_hash, keys.front),
-                                              hash_combine(keys.machine, keys.backend));
-  return hash_combine(
-      hash_combine(hash_combine(hash64(kStoreFormatVersion), hash64(0x5c4edULL)), identity),
-      hash_combine(hash64(static_cast<std::uint64_t>(budget_ratio)),
-                   hash64(cross_machine ? 1 : 0)));
-}
-
-std::string encode_warm_seed(const WarmStartSeed& seed) {
-  BlobWriter out;
-  serialize_schedule(out, seed.schedule);  // carries the II
-  return out.take();
-}
-
-/// Throws Error on truncation/trailing bytes; the caller treats that as
-/// a store miss.  The decoded schedule is *not* trusted: ims_schedule
-/// re-verifies every seed against the exact (loop, graph, machine)
-/// before installing it.
-WarmStartSeed decode_warm_seed(const std::string& blob) {
-  BlobReader in(blob);
-  WarmStartSeed seed;
-  seed.schedule = deserialize_schedule(in);
-  in.require_exhausted("warm seed blob");
-  seed.ii = seed.schedule.ii();
-  return seed;
 }
 
 std::string encode_mii(const MiiInfo& mii) {
@@ -570,7 +517,6 @@ std::vector<SweepTask> sweep_tasks(const SweepOptions& options, std::size_t loop
 }
 
 int resolved_sweep_workers(const SweepOptions& options) {
-  if (!options.parallel) return 1;
   if (options.pool != nullptr) return static_cast<int>(options.pool->workers());
   if (options.workers > 0) return options.workers;
   return static_cast<int>(worker_count());
@@ -606,58 +552,6 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
   // Record the key-domain version this writer uses, so store maintenance
   // (ArtifactStore::stats) can report a shared directory's version mix.
   if (persist) disk_store.mark_version(kStoreFormatVersion);
-
-  // Warm-start chains: points sharing (front prefix, machine, backend
-  // cache key) form a ladder, executed in ascending budget_ratio order so
-  // each point can seed the next with its accepted schedule.  The
-  // execution order is a permutation only — results still land at their
-  // original point index.  With warm_start off the original order is
-  // kept, so cold sweeps are untouched.
-  const bool warm = options_.use_cache && options_.warm_start;
-  std::vector<std::size_t> exec_order(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) exec_order[p] = p;
-  std::vector<int> chain_of(points.size(), -1);  // chain id; -1 = not chained
-  int chain_count = 0;
-  if (warm) {
-    std::map<std::uint64_t, int> chain_ids;
-    std::vector<std::vector<std::size_t>> members;
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      const SchedulerBackend* backend =
-          find_scheduler_backend(points[p].options.scheduler, points[p].options.backend);
-      if (backend == nullptr || !backend->supports_warm_start()) continue;
-      const std::uint64_t chain_key =
-          hash_combine(hash_combine(keys[p].front, keys[p].machine), keys[p].backend);
-      const auto [it, added] = chain_ids.emplace(chain_key, chain_count);
-      if (added) {
-        ++chain_count;
-        members.emplace_back();
-      }
-      chain_of[p] = it->second;
-      members[static_cast<std::size_t>(it->second)].push_back(p);
-    }
-    // Permute each chain's members (ascending budget) among the execution
-    // slots they already occupy; everything else stays put.  Equal-budget
-    // points are ordered by original point index — a fully specified key,
-    // so seed provenance (which point warm-starts which) is identical
-    // run-to-run even when a ladder repeats a budget (regression test:
-    // WarmStartDeterministicWithDuplicateBudgets).
-    for (const std::vector<std::size_t>& chain : members) {
-      std::vector<std::size_t> sorted = chain;
-      std::sort(sorted.begin(), sorted.end(), [&](std::size_t a, std::size_t b) {
-        const int ba = points[a].options.ims.budget_ratio;
-        const int bb = points[b].options.ims.budget_ratio;
-        return ba != bb ? ba < bb : a < b;
-      });
-      for (std::size_t j = 0; j < chain.size(); ++j) exec_order[chain[j]] = sorted[j];
-    }
-  }
-
-  // Persisted warm-start schedules: each warm-eligible point consults the
-  // store for its own previously accepted schedule before scheduling, and
-  // records its accepted schedule afterwards — the cross-process /
-  // cross-invocation leg of warm starting.
-  const bool persist_sched = warm && persist;
-  const bool cross_machine = warm && options_.cross_machine_seeds;
 
   // Merged on the committer thread (workers > 1) or inline (serial) —
   // never touched by two threads at once.
@@ -749,28 +643,18 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
 
   // Executes one task and returns its commit record.  Runs on any worker
   // thread: everything it touches is either task-local (LoopCache,
-  // stats, seconds, warm-start chain seeds), read-only sweep state (keys,
-  // exec_order, the store's striped index), or this task's own by_point
-  // cells — disjoint from every other task's.
+  // TaskMemo, stats, seconds), read-only sweep state (keys, the store's
+  // striped index), or this task's own by_point cells — disjoint from
+  // every other task's.
   auto execute_task = [&](const SweepTask& task) -> TaskCommit {
     const std::size_t i = task.loop_index;
-    std::vector<char> owned(points.size(), 0);
-    for (const std::size_t p : task.point_indices) owned[p] = 1;
     LoopCache cache;
     TaskMemo memo;  // back-end artifact memo: one verify/alloc per unique bundle
     SweepCacheStats local_stats;
     FrontSeconds local_seconds{};
     const std::uint64_t loop_hash = loops[i].content_hash();
-    std::vector<std::unique_ptr<WarmStartSeed>> chain_seed(
-        static_cast<std::size_t>(chain_count));
-    // Most recent accepted schedule per (front prefix, backend) across
-    // *all* machines of this loop, offered to seedless ladder starts when
-    // cross_machine_seeds is on.
-    std::map<std::uint64_t, WarmStartSeed> cross_seeds;
 
-    for (std::size_t o = 0; o < exec_order.size(); ++o) {
-      const std::size_t p = exec_order[o];
-      if (owned[p] == 0) continue;
+    for (const std::size_t p : task.point_indices) {
       const SweepPoint& point = points[p];
       // The override copy must outlive the PipelineContext referencing it.
       const VerifyPolicy cell_policy = verify_policy_for(i, p, point.options.verify);
@@ -799,16 +683,13 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
               ctx.known_mii =
                   mii_for(front, point, keys[p], store, loop_hash, local_stats, local_seconds);
             }
-            const int chain = chain_of[p];
-            const std::uint64_t cross_key = hash_combine(keys[p].front, keys[p].backend);
             // MII-optimality short-circuit: a sibling budget-ladder point
             // of this task already proved an II == MII schedule for the
             // same (loop, front prefix, machine, budget-less backend key).
             // Any point with at least the publisher's budget installs it —
             // the cold search at MII is deterministic and completes within
             // the publisher's budget, so installing is bit-identical to
-            // searching.  Probed before the disk tier: a hit saves the
-            // store round trip as well as the search.
+            // searching.
             const std::uint64_t sched_memo_key =
                 hash_combine(hash_combine(hash64(loop_hash), keys[p].front),
                              hash_combine(keys[p].machine, keys[p].backend));
@@ -825,50 +706,8 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
                 memo_seeded = true;
               }
             }
-            std::unique_ptr<WarmStartSeed> disk_seed;
-            bool disk_seed_installed = false;
-            if (!memo_seeded && chain >= 0) {
-              // Seed preference: the point's own persisted schedule (an
-              // exact answer — installing it is bit-identical to the cold
-              // search), then the in-process ladder predecessor, then —
-              // opt-in — another machine's ladder over the same front.
-              if (persist_sched) {
-                ++local_stats.sched_disk_probes;
-                std::string blob;
-                if (store->load(sched_store_key(loop_hash, keys[p],
-                                                point.options.ims.budget_ratio, cross_machine),
-                                blob)) {
-                  try {
-                    disk_seed = std::make_unique<WarmStartSeed>(decode_warm_seed(blob));
-                    ++local_stats.sched_disk_hits;
-                  } catch (const Error&) {
-                    // Corrupt or stale entry: fall back to in-process
-                    // seeding (the save below overwrites it).
-                  }
-                }
-              }
-              if (disk_seed != nullptr) {
-                ctx.seed = disk_seed.get();
-              } else if (chain_seed[static_cast<std::size_t>(chain)] != nullptr) {
-                ctx.seed = chain_seed[static_cast<std::size_t>(chain)].get();
-              } else if (cross_machine) {
-                if (auto it = cross_seeds.find(cross_key); it != cross_seeds.end()) {
-                  ctx.seed = &it->second;
-                }
-              }
-              if (ctx.seed != nullptr) ++local_stats.warm_probes;
-            }
             run_stages(ctx, back_stage_plan());
-            if (ctx.result.warm_started) {
-              if (memo_seeded) {
-                ++memo.sched_hits;
-              } else {
-                ++local_stats.warm_hits;
-                if (ctx.seed == disk_seed.get() && disk_seed != nullptr) {
-                  disk_seed_installed = true;
-                }
-              }
-            }
+            if (memo_seeded && ctx.result.warm_started) ++memo.sched_hits;
             // Publish a proven-optimal accepted schedule (II == MII, post
             // queue-fit escalation) for this task's later ladder siblings,
             // keeping the smallest budget that proved it.
@@ -878,22 +717,6 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
                 entry->second.schedule = ctx.sched.schedule;
                 entry->second.ii = ctx.sched.ii;
                 entry->second.budget_ratio = point.options.ims.budget_ratio;
-              }
-            }
-            if (chain >= 0 && ctx.sched.ok) {
-              // The accepted schedule (post queue-fit escalation) seeds
-              // the chain's next, larger-budget point.
-              chain_seed[static_cast<std::size_t>(chain)] = std::make_unique<WarmStartSeed>(
-                  WarmStartSeed{ctx.sched.schedule, ctx.sched.ii});
-              if (cross_machine) {
-                cross_seeds[cross_key] = *chain_seed[static_cast<std::size_t>(chain)];
-              }
-              // Persist the accepted schedule unless the store already
-              // holds exactly it (it was just installed from there).
-              if (persist_sched && !disk_seed_installed) {
-                store->save(sched_store_key(loop_hash, keys[p], point.options.ims.budget_ratio,
-                                            cross_machine),
-                            encode_warm_seed(*chain_seed[static_cast<std::size_t>(chain)]));
               }
             }
             out = std::move(ctx.result);

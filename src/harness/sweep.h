@@ -19,11 +19,13 @@
 // on_task_committed hook — results and cache accounting stay
 // sweep_result_fingerprint-identical at every worker count.
 //
-// With SweepOptions::warm_start the back end is cached across *budget
-// ladders* too: points sharing (front prefix, machine, scheduler-backend
-// cache key) run in ascending budget_ratio order, each seeding the next
-// with its accepted schedule; the scheduler verifies the seed and skips
-// the search that would rediscover it (see sched/ims.h WarmStartSeed).
+// Budget ladders (the same loop, machine and heuristic at rising IMS
+// budgets) share one seeding path: the task-local MII-optimality memo
+// (harness/stage.h TaskMemo::sched).  Once a point of the task accepts a
+// schedule at II == MII, every later point of the same ladder with at
+// least that budget installs it as a WarmStartSeed; the scheduler
+// verifies the seed and skips the search that would rediscover it (see
+// sched/ims.h).  Results are bit-identical to an unseeded sweep.
 #pragma once
 
 #include <cstdint>
@@ -67,20 +69,6 @@ struct SweepCacheStats {
   /// front-entry disk counters for the same comparability reason.
   std::uint64_t mii_disk_probes = 0, mii_disk_hits = 0;
 
-  /// Persistent warm-start schedule tier: accepted (schedule, II) entries
-  /// consulted in the store per warm-eligible point (see
-  /// SweepOptions::warm_start + store_dir).  A hit seeds the point with
-  /// its *own* previously accepted schedule, so the II search collapses
-  /// into a verification pass even for the first point of a ladder — the
-  /// cross-process/cross-invocation warm start.
-  std::uint64_t sched_disk_probes = 0, sched_disk_hits = 0;
-
-  /// Warm-start accounting: points offered a neighbouring budget-ladder
-  /// point's accepted schedule as a seed, and points whose final schedule
-  /// was installed from that seed (the skipped search is the back-end
-  /// speedup BENCH_pipeline.json reports).
-  std::uint64_t warm_probes = 0, warm_hits = 0;
-
   /// Unroll-policy prober accounting: candidate factors examined, and how
   /// many probes had to fall back to the naive materialise-and-measure
   /// path because the incremental fast path could not be exact.
@@ -99,8 +87,8 @@ struct SweepCacheStats {
   /// point, one probe of the task-local map of schedules a sibling
   /// budget-ladder point already accepted at II == MII; a hit means the
   /// point installed that proven-optimal schedule instead of re-searching.
-  /// Distinct from warm_probes/warm_hits — those count chain/disk/cross
-  /// seeds; a memo-served point contributes here and nowhere else.
+  /// The memo is the sweep's only schedule-seeding path, so every
+  /// warm-started cell of a sweep is counted here.
   std::uint64_t sched_memo_probes = 0, sched_memo_hits = 0;
 
   /// Cached runs that abandoned the cached path entirely and re-ran the
@@ -116,7 +104,6 @@ struct SweepCacheStats {
   }
   [[nodiscard]] double hit_rate() const;       // hits/probes; 0 when no probes
   [[nodiscard]] double disk_hit_rate() const;  // disk_hits/disk_probes; 0 when no probes
-  [[nodiscard]] double warm_hit_rate() const;  // warm_hits/warm_probes; 0 when no probes
 
   SweepCacheStats& operator+=(const SweepCacheStats& other);
 };
@@ -154,15 +141,15 @@ struct StageTotal {
 /// partitions (see SweepOptions::shard_count).
 enum class ShardAxis {
   /// Round-robin over loops: shard s owns every point of loop i iff
-  /// i % shard_count == s.  The default — per-loop caches and warm-start
-  /// ladders live entirely inside one shard, so a merged sharded sweep is
-  /// bit-identical to the single-process sweep *including* cache and
-  /// warm-start provenance.
+  /// i % shard_count == s.  The default — per-loop caches and the
+  /// budget-ladder memo live entirely inside one shard, so a merged
+  /// sharded sweep is bit-identical to the single-process sweep
+  /// *including* cache and memo provenance.
   kLoops,
   /// Round-robin over points: shard s owns point p of every loop iff
   /// p % shard_count == s.  Results are still bit-identical (sharding
   /// never changes outcomes), but points of one budget ladder may land in
-  /// different shards, so warm-start hit counts can be lower than the
+  /// different shards, so sched-memo hit counts can be lower than the
   /// single-process run's.
   kPoints,
 };
@@ -181,7 +168,6 @@ enum class SweepVerifyMode : std::uint8_t {
 
 struct SweepOptions {
   bool use_cache = true;  // prefix-artifact caching across points
-  bool parallel = true;   // false forces serial regardless of `workers`
 
   /// Worker threads executing SweepTasks inside this process.  0 = auto
   /// (one per hardware thread, on the shared pool); 1 = serial; N > 1 =
@@ -192,8 +178,8 @@ struct SweepOptions {
   /// resolved_worker_threads (harness/dispatch.h) is that guard.
   ///
   /// Determinism: a task (one loop, its owned points) is the unit of
-  /// scheduling, and everything order-sensitive — per-loop caches,
-  /// warm-start ladders — lives inside one task, so results are
+  /// scheduling, and everything order-sensitive — per-loop caches, the
+  /// budget-ladder memo — lives inside one task, so results are
   /// sweep_result_fingerprint-identical at every worker count.  The
   /// worker count is deliberately *not* part of sweep_config_hash: a
   /// checkpointed sweep may resume under a different count.
@@ -219,30 +205,11 @@ struct SweepOptions {
   /// Root directory of the persistent content-addressed artifact store
   /// (support/artifact_store.h); empty disables persistence.  Keyed by
   /// Loop::content_hash plus the front prefix key, so repeated invocations
-  /// — including across processes and bench runs — warm-start the front
-  /// end instead of recomputing it.  Also persists per-machine MII maps
+  /// — including across processes and bench runs — reload the front end
+  /// instead of recomputing it.  Also persists per-machine MII maps
   /// (keyed by Loop::content_hash + front prefix + MachineConfig
   /// signature).  Requires use_cache.
   std::string store_dir;
-
-  /// Warm-start the back end across budget ladders: points sharing a
-  /// front prefix, machine, and scheduler-backend cache key are executed
-  /// in ascending budget_ratio order, each receiving the previous point's
-  /// accepted schedule as a WarmStartSeed.  IMS verifies the seed and
-  /// uses it to cap the II ladder, so final IIs are never worse than cold
-  /// scheduling — on such ladders they are identical, with the accepting
-  /// search skipped.  LoopResults differ from a cold sweep only in
-  /// ImsStats/warm_started (provenance, not outcome).  Requires
-  /// use_cache.
-  ///
-  /// With store_dir also set, every warm-eligible point's *accepted*
-  /// schedule is persisted in the artifact store (keyed by loop content
-  /// hash + front prefix + machine signature + backend cache key + budget
-  /// + store format version), and consulted before scheduling: a hit is
-  /// the point's own prior accepted schedule, which IMS verifies and
-  /// installs, so ladders warm across processes and bench invocations
-  /// with bit-identical results.
-  bool warm_start = false;
 
   /// Directory of the checkpoint ledger (harness/checkpoint.h); empty
   /// disables checkpointing.  Every completed SweepTask appends its
@@ -269,18 +236,6 @@ struct SweepOptions {
   /// users.
   std::function<void(std::uint64_t committed)> on_task_committed;
 
-  /// Additionally seed the *first* point of a warm-start ladder with the
-  /// most recent accepted schedule of another machine's ladder over the
-  /// same (loop, front prefix, backend) — the cross-machine chaining the
-  /// ROADMAP left open.  The seed verifier makes foreign seeds safe: a
-  /// schedule that does not fit the new machine is silently ignored, and
-  /// one that does can only ever *cap* the II ladder, so final IIs are
-  /// never worse than cold — but they can be better (the seed may prove
-  /// an II the point's own budget would have given up on), so results are
-  /// no longer guaranteed bit-identical to a cold sweep.  Off by default
-  /// for exactly that reason.  Requires warm_start.
-  bool cross_machine_seeds = false;
-
   /// Sweep-level translation validation.  kSample audits a deterministic
   /// 1-in-verify_sample_rate subset of cells, chosen by hashing (loop
   /// index, point index) so the sample is identical at every worker
@@ -293,8 +248,8 @@ struct SweepOptions {
 };
 
 /// The worker-thread count SweepRunner::run will actually use under
-/// `options`: 1 when parallel is false, the pool's size when one is
-/// supplied, `workers` when explicit, hardware concurrency otherwise.
+/// `options`: the pool's size when one is supplied, `workers` when
+/// explicit, hardware concurrency otherwise.
 /// This (not SweepOptions::workers) is what benches report as their
 /// `workers` field.
 [[nodiscard]] int resolved_sweep_workers(const SweepOptions& options);
@@ -310,7 +265,7 @@ struct SweepPrefixKeys {
 
   /// The resolved scheduler backend's cache-key contribution
   /// (SchedulerBackend::cache_key): folded into every slot holding one of
-  /// its schedules — the warm-start chain key today — so backends with
+  /// its schedules — the sched-memo key today — so backends with
   /// different contributions never alias.  For an unknown backend name
   /// the contribution hashes the name itself (the point fails in the
   /// schedule stage either way).
@@ -322,8 +277,8 @@ struct SweepPrefixKeys {
   bool consumes_cached_mii = false;
 
   /// Whether the backend accepts WarmStartSeed injection
-  /// (SchedulerBackend::supports_warm_start).  Gates both the warm-start
-  /// seeding tiers and the task-local MII-optimality short-circuit.
+  /// (SchedulerBackend::supports_warm_start).  Gates the task-local
+  /// MII-optimality short-circuit, the sweep's only seeding path.
   bool supports_warm_start = false;
 };
 
@@ -344,7 +299,7 @@ struct SweepPrefixKeys {
 /// task id — stable across restarts because the checkpoint journal's
 /// config hash pins the exact (loops, points) inputs.  A task matches the
 /// runner's per-loop execution granularity: the per-loop artifact cache
-/// and every warm-start ladder live entirely inside one task, so a task
+/// and every budget-ladder memo live entirely inside one task, so a task
 /// is also the natural unit of checkpoint replay.
 struct SweepTask {
   std::size_t loop_index = 0;

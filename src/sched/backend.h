@@ -21,12 +21,12 @@
 //  - `cache_key(heuristic, ims)`: the backend's contribution to any
 //    cache slot holding one of its schedules.  It folds the backend's
 //    identity plus every option that changes which schedules are
-//    *reachable* — but not `budget_ratio`, the effort axis a warm-start
+//    *reachable* — but not `budget_ratio`, the effort axis a budget
 //    ladder deliberately spans.  Slots derived from different
 //    contributions never alias (a regression test enforces this).
 //
-// Warm starts: a request may carry the accepted schedule of a
-// neighbouring sweep point (same loop/DDG/machine, smaller budget) as a
+// Warm starts: a request may carry the MII-optimal schedule a sibling
+// sweep point accepted (same loop/DDG/machine, smaller budget) as a
 // `WarmStartSeed`.  Backends that return true from
 // `supports_warm_start()` forward it to IMS, which verifies the seed and
 // uses it to cap the II ladder — never changing the final II relative to
@@ -73,7 +73,7 @@ struct ScheduleRequest {
   /// Cluster-choice heuristic (consulted by the partitioned backends).
   ClusterHeuristic heuristic = ClusterHeuristic::kAffinity;
 
-  /// Optional warm start: a neighbouring point's accepted schedule.
+  /// Optional warm start: a ladder sibling's accepted MII-optimal schedule.
   const WarmStartSeed* seed = nullptr;
 };
 
@@ -97,11 +97,11 @@ class SchedulerBackend {
   /// Unique registry name (also the per-point label in bench reports).
   [[nodiscard]] virtual std::string_view name() const = 0;
 
-  /// Contribution to cache slots holding this backend's schedules (warm
-  /// start chains today; persisted schedules tomorrow).  The base
-  /// implementation hashes the name; backends fold in every option that
-  /// changes their output schedule, EXCEPT the placement budget — that is
-  /// the ladder axis warm starts traverse.
+  /// Contribution to cache slots holding this backend's schedules (the
+  /// sweep's MII-optimality memo).  The base implementation hashes the
+  /// name; backends fold in every option that changes their output
+  /// schedule, EXCEPT the placement budget — that is the ladder axis the
+  /// memo spans.
   [[nodiscard]] virtual std::uint64_t cache_key(ClusterHeuristic heuristic,
                                                 const ImsOptions& ims) const;
 

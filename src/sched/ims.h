@@ -102,10 +102,9 @@ struct ImsStats {
 };
 
 /// A previously accepted schedule offered as a warm start for a new run
-/// over the *same* loop/DDG: the neighbouring point of a budget ladder,
-/// the point's own accepted schedule replayed from the persistent
-/// artifact store by a later process, or — opt-in — a sibling machine's
-/// ladder over the same front end.  The scheduler vets the seed with
+/// over the *same* loop/DDG — in a sweep, the MII-optimal schedule a
+/// lower-budget sibling of the same budget ladder accepted (harness/stage.h
+/// TaskMemo::sched).  The scheduler vets the seed with
 /// verify_schedule against the exact (loop, graph, machine) before
 /// trusting it; an invalid, stale, or foreign seed is silently ignored,
 /// so offering one is always safe regardless of where it came from.

@@ -94,15 +94,15 @@ class BlobWriter;
 
 /// Serialises `schedule` into the portable blob format
 /// (support/artifact_store.h): II, op count, and per-op placements.  Used
-/// by the sweep runner to persist accepted warm-start schedules in the
-/// artifact store so budget ladders warm across processes.
+/// to key the back-end artifact memo (harness/stage.h) and to write
+/// verification bundles (verify/verify.h).
 void serialize_schedule(BlobWriter& out, const Schedule& schedule);
 
 /// Inverse of serialize_schedule; throws Error on truncation or a
 /// structurally invalid placement (negative cycle, II < 1).  The result is
 /// *not* verified against any loop/machine — run verify_schedule before
-/// trusting a deserialised schedule (warm-start seeding does exactly
-/// that, so a stale or foreign store entry can only ever be ignored).
+/// trusting a deserialised schedule (`qvliw_verify check` does exactly
+/// that with the schedule of every bundle it reads).
 [[nodiscard]] Schedule deserialize_schedule(BlobReader& in);
 
 }  // namespace qvliw

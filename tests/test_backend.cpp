@@ -251,8 +251,8 @@ TEST(WarmStart, NeverWorseThanColdOnRandomizedMachines) {
         PartitionOptions large = small;
         large.ims.budget_ratio = 12;
         const ImsResult cold_large = partition_schedule(loop, graph, machine, large);
-        const WarmStartSeed warm_seed{cold_small.schedule, cold_small.ii};
-        const ImsResult warm = partition_schedule(loop, graph, machine, large, &warm_seed);
+        const WarmStartSeed small_seed{cold_small.schedule, cold_small.ii};
+        const ImsResult warm = partition_schedule(loop, graph, machine, large, &small_seed);
 
         ASSERT_TRUE(warm.ok) << loop.name << ": " << warm.failure;
         ASSERT_TRUE(cold_large.ok) << loop.name << ": " << cold_large.failure;

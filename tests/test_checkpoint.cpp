@@ -316,7 +316,7 @@ TEST(Checkpoint, InterruptedRunResumesBitIdentical) {
 
   SweepOptions interrupted;
   interrupted.checkpoint_dir = dir.string();
-  interrupted.parallel = false;  // deterministic task count at the abort
+  interrupted.workers = 1;  // deterministic task count at the abort
   interrupted.on_task_committed = [](std::uint64_t committed) {
     if (committed == kAbortAfter) fail("test: simulated interruption");
   };
@@ -324,7 +324,7 @@ TEST(Checkpoint, InterruptedRunResumesBitIdentical) {
 
   SweepOptions resume;
   resume.checkpoint_dir = dir.string();
-  resume.parallel = false;
+  resume.workers = 1;
   const SweepResult resumed = SweepRunner(resume).run(suite.loops, points);
   EXPECT_EQ(resumed.checkpoint.tasks_replayed, kAbortAfter);
   EXPECT_EQ(resumed.checkpoint.tasks_executed, suite.loops.size() - kAbortAfter);
@@ -353,7 +353,7 @@ TEST(Checkpoint, SigkilledWorkerResumesBitIdentical) {
     close(fds[0]);
     SweepOptions child_options;
     child_options.checkpoint_dir = dir.string();
-    child_options.parallel = false;
+    child_options.workers = 1;
     child_options.on_task_committed = [&](std::uint64_t committed) {
       if (committed == kKillAfter) {
         const char byte = 'x';
@@ -376,7 +376,7 @@ TEST(Checkpoint, SigkilledWorkerResumesBitIdentical) {
   // Restart: the committed tasks replay, the rest execute.
   SweepOptions resume;
   resume.checkpoint_dir = dir.string();
-  resume.parallel = false;
+  resume.workers = 1;
   const SweepResult resumed = SweepRunner(resume).run(suite.loops, points);
   EXPECT_EQ(resumed.checkpoint.tasks_replayed, kKillAfter);
   EXPECT_EQ(resumed.checkpoint.tasks_executed, suite.loops.size() - kKillAfter);
@@ -403,7 +403,7 @@ TEST(Checkpoint, ThreadedCheckpointMatchesSerialAndReplays) {
 
   SweepOptions serial;
   serial.checkpoint_dir = serial_dir.string();
-  serial.parallel = false;
+  serial.workers = 1;
   const SweepResult serial_cold = SweepRunner(serial).run(suite.loops, points);
   EXPECT_EQ(sweep_result_fingerprint(cold), sweep_result_fingerprint(serial_cold));
   EXPECT_EQ(cold.checkpoint.journal_bytes, serial_cold.checkpoint.journal_bytes);

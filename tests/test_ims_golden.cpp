@@ -150,7 +150,7 @@ std::string fingerprint_hex(const SweepResult& sweep) {
 TEST(ImsGolden, SweepFingerprintStableAcrossWorkersAndWarmth) {
   // The pinned fingerprint of the full ring-4 perf sweep.  Any change to
   // scheduling outcomes — including one smuggled in by the ladder memo —
-  // moves this value; workers and warm starts must not.
+  // moves this value; workers and a warm artifact store must not.
   constexpr const char* kPinned = "acac708db670f08d";
 
   const Suite suite = full_suite();
@@ -168,14 +168,15 @@ TEST(ImsGolden, SweepFingerprintStableAcrossWorkersAndWarmth) {
   const std::string store =
       (std::filesystem::temp_directory_path() / "qvliw-golden-store").string();
   std::filesystem::remove_all(store);
-  SweepOptions warm1 = w1;
-  warm1.warm_start = true;
-  warm1.store_dir = store;
-  EXPECT_EQ(fingerprint_hex(SweepRunner(warm1).run(suite.loops, points)), kPinned) << "populate";
-  EXPECT_EQ(fingerprint_hex(SweepRunner(warm1).run(suite.loops, points)), kPinned) << "warm w1";
-  SweepOptions warm4 = warm1;
-  warm4.workers = 4;
-  EXPECT_EQ(fingerprint_hex(SweepRunner(warm4).run(suite.loops, points)), kPinned) << "warm w4";
+  SweepOptions stored1 = w1;
+  stored1.store_dir = store;
+  EXPECT_EQ(fingerprint_hex(SweepRunner(stored1).run(suite.loops, points)), kPinned) << "populate";
+  EXPECT_EQ(fingerprint_hex(SweepRunner(stored1).run(suite.loops, points)), kPinned)
+      << "stored w1";
+  SweepOptions stored4 = stored1;
+  stored4.workers = 4;
+  EXPECT_EQ(fingerprint_hex(SweepRunner(stored4).run(suite.loops, points)), kPinned)
+      << "stored w4";
   std::filesystem::remove_all(store);
 }
 

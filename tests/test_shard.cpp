@@ -14,7 +14,7 @@ namespace qvliw {
 namespace {
 
 // The perf_micro-shaped sweep: one clustered machine, heuristic x budget
-// back ends sharing a front prefix, so warm-start ladders form.
+// back ends sharing a front prefix, so memoised budget ladders form.
 std::vector<SweepPoint> ladder_points() {
   std::vector<SweepPoint> points;
   const MachineConfig ring = MachineConfig::clustered_machine(4);
@@ -85,7 +85,7 @@ TEST(Shard, CodecRoundTripsEverything) {
   EXPECT_EQ(copy.result.pipelines, shard.result.pipelines);
   EXPECT_EQ(copy.result.wall_seconds, shard.result.wall_seconds);
   EXPECT_EQ(copy.result.cache.front_probes, shard.result.cache.front_probes);
-  EXPECT_EQ(copy.result.cache.warm_hits, shard.result.cache.warm_hits);
+  EXPECT_EQ(copy.result.cache.sched_memo_hits, shard.result.cache.sched_memo_hits);
   ASSERT_EQ(copy.result.stage_totals.size(), shard.result.stage_totals.size());
   for (std::size_t t = 0; t < shard.result.stage_totals.size(); ++t) {
     EXPECT_EQ(copy.result.stage_totals[t].stage, shard.result.stage_totals[t].stage);
@@ -120,41 +120,38 @@ TEST(Shard, DecodeRejectsTrailingBytesAndBadMagic) {
 }
 
 // The tentpole golden test: the merged N-shard sweep is bit-identical to
-// the single-process sweep — cold and warm, on both shard axes — with the
-// cells stitched from the shard that owns them and the accounting summed.
+// the single-process sweep on both shard axes, with the cells stitched
+// from the shard that owns them and the accounting summed.
 TEST(Shard, MergedShardsBitIdenticalToSingleProcess) {
   const Suite suite = small_suite(9, 47);
   const std::vector<SweepPoint> points = ladder_points();
 
-  for (const bool warm : {false, true}) {
-    SweepOptions options;
-    options.warm_start = warm;
-    const SweepResult single = SweepRunner(options).run(suite.loops, points);
-    const std::string want = sweep_result_fingerprint(single);
+  const SweepOptions options;
+  const SweepResult single = SweepRunner(options).run(suite.loops, points);
+  const std::string want = sweep_result_fingerprint(single);
+  EXPECT_GT(single.cache.sched_memo_hits, 0u);
 
-    for (const ShardAxis axis : {ShardAxis::kLoops, ShardAxis::kPoints}) {
-      for (const int count : {2, 3}) {
-        std::vector<SweepShard> shards;
-        std::uint64_t cells = 0;
-        for (int s = 0; s < count; ++s) {
-          shards.push_back(run_shard(suite.loops, points, options, count, s, axis));
-          cells += shards.back().result.pipelines;
-        }
-        EXPECT_EQ(cells, suite.loops.size() * points.size());
+  for (const ShardAxis axis : {ShardAxis::kLoops, ShardAxis::kPoints}) {
+    for (const int count : {2, 3}) {
+      std::vector<SweepShard> shards;
+      std::uint64_t cells = 0;
+      for (int s = 0; s < count; ++s) {
+        shards.push_back(run_shard(suite.loops, points, options, count, s, axis));
+        cells += shards.back().result.pipelines;
+      }
+      EXPECT_EQ(cells, suite.loops.size() * points.size());
 
-        const SweepResult merged = merge_sweep_shards(std::move(shards));
-        const std::string where =
-            cat(warm ? "warm" : "cold", " ", shard_axis_name(axis), " x", count);
-        EXPECT_EQ(sweep_result_fingerprint(merged), want) << where;
-        EXPECT_EQ(merged.pipelines, single.pipelines) << where;
-        // Loop-axis shards keep whole loops (caches and ladders intact),
-        // so even the cache accounting reassembles exactly.
-        if (axis == ShardAxis::kLoops) {
-          EXPECT_EQ(merged.cache.front_probes, single.cache.front_probes) << where;
-          EXPECT_EQ(merged.cache.front_hits, single.cache.front_hits) << where;
-          EXPECT_EQ(merged.cache.warm_probes, single.cache.warm_probes) << where;
-          EXPECT_EQ(merged.cache.warm_hits, single.cache.warm_hits) << where;
-        }
+      const SweepResult merged = merge_sweep_shards(std::move(shards));
+      const std::string where = cat(shard_axis_name(axis), " x", count);
+      EXPECT_EQ(sweep_result_fingerprint(merged), want) << where;
+      EXPECT_EQ(merged.pipelines, single.pipelines) << where;
+      // Loop-axis shards keep whole loops (caches and ladders intact),
+      // so even the cache accounting reassembles exactly.
+      if (axis == ShardAxis::kLoops) {
+        EXPECT_EQ(merged.cache.front_probes, single.cache.front_probes) << where;
+        EXPECT_EQ(merged.cache.front_hits, single.cache.front_hits) << where;
+        EXPECT_EQ(merged.cache.sched_memo_probes, single.cache.sched_memo_probes) << where;
+        EXPECT_EQ(merged.cache.sched_memo_hits, single.cache.sched_memo_hits) << where;
       }
     }
   }

@@ -1,6 +1,4 @@
 #include <gtest/gtest.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -59,9 +57,9 @@ std::vector<SweepPoint> demo_points() {
 
 // Every semantic field of LoopResult.  stage_times is deliberately
 // excluded: wall time is measurement, not outcome.  `compare_effort`
-// additionally covers ImsStats — installed schedules (warm-start seeds,
-// the MII-optimality ladder memo) are bit-identical with less search, so
-// effort is compared only when both sides actually searched
+// additionally covers ImsStats — schedules installed by the MII-optimality
+// ladder memo are bit-identical with less search, so effort is compared
+// only when both sides actually searched
 // (warm_started false on both).
 void expect_identical(const LoopResult& a, const LoopResult& b, const std::string& where,
                       bool compare_effort = true) {
@@ -169,7 +167,7 @@ TEST(Sweep, SerialMatchesParallel) {
   const Suite suite = small_suite(6, 11);
   SweepPoint point{"single-6fu", MachineConfig::single_cluster_machine(6), {}};
   SweepOptions serial_options;
-  serial_options.parallel = false;
+  serial_options.workers = 1;
   const SweepResult parallel = SweepRunner().run(suite.loops, {point});
   const SweepResult serial = SweepRunner(serial_options).run(suite.loops, {point});
   ASSERT_EQ(parallel.by_point[0].size(), serial.by_point[0].size());
@@ -187,7 +185,7 @@ TEST(Sweep, FingerprintIdenticalAcrossWorkerCounts) {
   const std::vector<SweepPoint> points = demo_points();
 
   SweepOptions serial_options;
-  serial_options.parallel = false;
+  serial_options.workers = 1;
   const SweepResult serial = SweepRunner(serial_options).run(suite.loops, points);
   const std::string oracle = sweep_result_fingerprint(serial);
 
@@ -205,8 +203,8 @@ TEST(Sweep, FingerprintIdenticalAcrossWorkerCounts) {
   }
 }
 
-// The same contract through the disk store and warm-start ladders: each
-// worker count gets its own scratch store (a shared one would let an
+// The same contract through the disk store and the budget-ladder memo:
+// each worker count gets its own scratch store (a shared one would let an
 // earlier count warm a later one), runs cold then warm, and both
 // fingerprints must match the serial oracle's.
 TEST(Sweep, WarmStoreFingerprintIdenticalAcrossWorkerCounts) {
@@ -229,9 +227,7 @@ TEST(Sweep, WarmStoreFingerprintIdenticalAcrossWorkerCounts) {
   for (const int workers : {1, 2, 4, 8}) {
     SweepOptions options;
     options.workers = workers;
-    options.parallel = workers > 1;
     options.store_dir = (scratch / cat("w", workers)).string();
-    options.warm_start = true;
     const SweepResult cold = SweepRunner(options).run(suite.loops, points);
     const SweepResult warm = SweepRunner(options).run(suite.loops, points);
     EXPECT_EQ(cold.cache.disk_hits, 0u) << workers << " workers";
@@ -261,7 +257,7 @@ TEST(Sweep, CallerOwnedPoolMatchesSerial) {
   EXPECT_EQ(resolved_sweep_workers(pool_options), 3);
 
   SweepOptions serial_options;
-  serial_options.parallel = false;
+  serial_options.workers = 1;
   const SweepResult pooled = SweepRunner(pool_options).run(suite.loops, {point});
   const SweepResult serial = SweepRunner(serial_options).run(suite.loops, {point});
   EXPECT_EQ(sweep_result_fingerprint(pooled), sweep_result_fingerprint(serial));
@@ -443,10 +439,11 @@ TEST(Sweep, DiskStoreToleratesCorruptEntries) {
   std::filesystem::remove_all(store_dir);
 }
 
-// Warm-started budget ladders: same machine and backend options with
-// ascending budget_ratio.  Outcomes must be bit-identical to the cold
-// sweep (the seed only skips the search that would rediscover the same
-// schedule), with the warm-start counters showing the skips happened.
+// Memoised budget ladders: same machine and backend options with
+// ascending budget_ratio.  Outcomes must be bit-identical to the uncached
+// sweep (an installed MII-optimal schedule only skips the search that
+// would rediscover it), with the sched-memo counters showing the skips
+// happened.
 TEST(Sweep, WarmStartLadderMatchesColdSweep) {
   const Suite suite = small_suite(8, 31);
 
@@ -463,40 +460,46 @@ TEST(Sweep, WarmStartLadderMatchesColdSweep) {
     single.options.ims.budget_ratio = budget;
     points.push_back(single);
   }
-  // A moves point rides along: its backend declines warm starts, so it
-  // must be untouched by the ladder machinery.
+  // A moves point rides along: its backend declines seeds, so the memo
+  // must neither probe for it nor install into it.
   SweepPoint moves{"ring4-moves", MachineConfig::clustered_machine(4), {}};
   moves.options.unroll = true;
   moves.options.scheduler = SchedulerKind::kClusteredMoves;
   points.push_back(moves);
+  const std::size_t moves_point = points.size() - 1;
 
-  SweepOptions warm_options;
-  warm_options.warm_start = true;
-  const SweepResult warm = SweepRunner(warm_options).run(suite.loops, points);
-  const SweepResult cold = SweepRunner().run(suite.loops, points);
+  const SweepResult cached = SweepRunner().run(suite.loops, points);
+  SweepOptions uncached_options;
+  uncached_options.use_cache = false;
+  const SweepResult uncached = SweepRunner(uncached_options).run(suite.loops, points);
 
+  std::uint64_t seedable_cells = 0;  // non-moves cells that reached the scheduler
   for (std::size_t p = 0; p < points.size(); ++p) {
     for (std::size_t i = 0; i < suite.loops.size(); ++i) {
-      const LoopResult& w = warm.by_point[p][i];
-      const LoopResult& c = cold.by_point[p][i];
+      const LoopResult& m = cached.by_point[p][i];
+      const LoopResult& c = uncached.by_point[p][i];
       const std::string where = points[p].label + " / " + suite.loops[i].name;
-      expect_identical(w, c, where, /*compare_effort=*/false);
-      if (c.ok) EXPECT_LE(w.ii, c.ii) << where;  // the headline warm-start property
+      expect_identical(m, c, where, /*compare_effort=*/false);
+      if (p == moves_point) {
+        EXPECT_FALSE(m.warm_started) << where;
+      } else if (!m.backend.empty()) {
+        ++seedable_cells;
+      }
     }
   }
-  EXPECT_GT(warm.cache.warm_probes, 0u);
-  EXPECT_GT(warm.cache.warm_hits, 0u);
-  EXPECT_EQ(cold.cache.warm_probes, 0u);
+  EXPECT_GT(cached.cache.sched_memo_hits, 0u);
+  EXPECT_EQ(cached.cache.sched_memo_probes, seedable_cells);
+  EXPECT_EQ(uncached.cache.sched_memo_probes, 0u);
 
   // The skipped searches are visible as scheduling effort saved.
-  long long warm_placements = 0, cold_placements = 0;
+  long long cached_placements = 0, uncached_placements = 0;
   for (std::size_t p = 0; p < points.size(); ++p) {
     for (std::size_t i = 0; i < suite.loops.size(); ++i) {
-      warm_placements += warm.by_point[p][i].sched_stats.placements;
-      cold_placements += cold.by_point[p][i].sched_stats.placements;
+      cached_placements += cached.by_point[p][i].sched_stats.placements;
+      uncached_placements += uncached.by_point[p][i].sched_stats.placements;
     }
   }
-  EXPECT_LT(warm_placements, cold_placements);
+  EXPECT_LT(cached_placements, uncached_placements);
 }
 
 TEST(Sweep, MiiMapsPersistAcrossRuns) {
@@ -529,7 +532,7 @@ TEST(Sweep, MiiMapsPersistAcrossRuns) {
 }
 
 // Regression: backends with different cache-key contributions must never
-// share a warm-start (or any schedule) cache slot, even when every other
+// share a sched-memo (or any schedule) cache slot, even when every other
 // key component agrees.
 TEST(Sweep, BackendContributionsNeverAliasCacheSlots) {
   const MachineConfig machine = MachineConfig::clustered_machine(4);
@@ -566,16 +569,15 @@ TEST(Sweep, BackendContributionsNeverAliasCacheSlots) {
   EXPECT_TRUE(sk.consumes_cached_mii);
   EXPECT_FALSE(mk.consumes_cached_mii);
 
-  // Budget is the ladder axis: same chain slot by design.
+  // Budget is the ladder axis: same memo slot by design.
   SweepPoint bigger = clustered;
   bigger.options.ims.budget_ratio = 12;
   EXPECT_EQ(sweep_prefix_keys(bigger).backend, ck.backend);
 }
 
-// Regression: a ladder containing *duplicate* budgets used to rely on
-// the sort's unspecified equal-key order for seed provenance; the
-// execution order is now fully specified (budget, then original point
-// index), so which point warm-starts which is identical run-to-run.
+// A ladder containing *duplicate* budgets, unsorted: the memo walks the
+// task's points in point order, so which point installs which schedule
+// is identical run-to-run, and the outcomes match the uncached sweep.
 TEST(Sweep, WarmStartDeterministicWithDuplicateBudgets) {
   const Suite suite = small_suite(6, 71);
 
@@ -588,133 +590,34 @@ TEST(Sweep, WarmStartDeterministicWithDuplicateBudgets) {
     points.push_back(ring);
   }
 
-  SweepOptions warm_options;
-  warm_options.warm_start = true;
-  warm_options.parallel = false;  // provenance must not need thread luck either
-  const SweepResult first = SweepRunner(warm_options).run(suite.loops, points);
-  const SweepResult second = SweepRunner(warm_options).run(suite.loops, points);
+  SweepOptions serial_options;
+  serial_options.workers = 1;  // provenance must not need thread luck either
+  const SweepResult first = SweepRunner(serial_options).run(suite.loops, points);
+  const SweepResult second = SweepRunner(serial_options).run(suite.loops, points);
 
-  EXPECT_GT(first.cache.warm_probes, 0u);
-  EXPECT_GT(first.cache.warm_hits, 0u);
-  EXPECT_EQ(first.cache.warm_probes, second.cache.warm_probes);
-  EXPECT_EQ(first.cache.warm_hits, second.cache.warm_hits);
+  EXPECT_GT(first.cache.sched_memo_probes, 0u);
+  EXPECT_GT(first.cache.sched_memo_hits, 0u);
+  EXPECT_EQ(first.cache.sched_memo_probes, second.cache.sched_memo_probes);
+  EXPECT_EQ(first.cache.sched_memo_hits, second.cache.sched_memo_hits);
   for (std::size_t p = 0; p < points.size(); ++p) {
     for (std::size_t i = 0; i < suite.loops.size(); ++i) {
       const std::string where = points[p].label + " / " + suite.loops[i].name;
-      // Provenance (who got seeded and whether the seed installed) is
-      // part of the determinism contract now, not just the outcomes.
+      // Provenance (which cells installed a memo schedule) is part of
+      // the determinism contract, not just the outcomes.
       EXPECT_EQ(first.by_point[p][i].warm_started, second.by_point[p][i].warm_started) << where;
       expect_identical(first.by_point[p][i], second.by_point[p][i], where);
     }
   }
 
-  // Equal-budget neighbours are bit-identical cold, so the duplicate's
-  // seed installs: outcomes match the cold sweep exactly.
-  const SweepResult cold = SweepRunner().run(suite.loops, points);
+  SweepOptions uncached_options;
+  uncached_options.use_cache = false;
+  uncached_options.workers = 1;
+  const SweepResult uncached = SweepRunner(uncached_options).run(suite.loops, points);
   for (std::size_t p = 0; p < points.size(); ++p) {
     for (std::size_t i = 0; i < suite.loops.size(); ++i) {
-      expect_identical(first.by_point[p][i], cold.by_point[p][i],
+      expect_identical(first.by_point[p][i], uncached.by_point[p][i],
                        points[p].label + " / " + suite.loops[i].name,
                        /*compare_effort=*/false);
-    }
-  }
-}
-
-// Cross-process warm start: a first process persists every accepted
-// schedule in the store; a second process (a real fork, sharing only the
-// store directory) seeds each point with its own prior schedule, reports
-// schedule-store and warm hits, and produces bit-identical results.
-TEST(Sweep, WarmSchedulesPersistAcrossProcesses) {
-  const std::filesystem::path store_dir =
-      std::filesystem::temp_directory_path() / "qvliw_test_store_sched";
-  std::filesystem::remove_all(store_dir);
-
-  const Suite suite = small_suite(6, 73);
-  std::vector<SweepPoint> points;
-  for (const int budget : {6, 12}) {
-    SweepPoint ring{cat("ring4-", budget), MachineConfig::clustered_machine(4), {}};
-    ring.options.unroll = true;
-    ring.options.scheduler = SchedulerKind::kClustered;
-    ring.options.ims.budget_ratio = budget;
-    points.push_back(ring);
-  }
-
-  SweepOptions warm_options;
-  warm_options.store_dir = store_dir.string();
-  warm_options.warm_start = true;
-  warm_options.parallel = false;  // the forked child must not touch the pool
-
-  const pid_t pid = fork();
-  ASSERT_GE(pid, 0) << "fork failed";
-  if (pid == 0) {
-    // Child process: the cold store population run.
-    const SweepResult seeded = SweepRunner(warm_options).run(suite.loops, points);
-    _exit(seeded.cache.sched_disk_hits == 0 ? 0 : 3);  // cold store: no hits yet
-  }
-  int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "population process failed";
-
-  // Second process (this one): every warm-eligible point hits its own
-  // persisted schedule, including the first point of each ladder.
-  const SweepResult warm = SweepRunner(warm_options).run(suite.loops, points);
-  EXPECT_GT(warm.cache.sched_disk_probes, 0u);
-  EXPECT_EQ(warm.cache.sched_disk_hits, warm.cache.sched_disk_probes);
-  EXPECT_GT(warm.cache.warm_hits, 0u);
-  EXPECT_EQ(warm.cache.warm_probes, warm.cache.sched_disk_hits);
-
-  const SweepResult oracle = SweepRunner().run(suite.loops, points);
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    for (std::size_t i = 0; i < suite.loops.size(); ++i) {
-      expect_identical(warm.by_point[p][i], oracle.by_point[p][i],
-                       points[p].label + " / " + suite.loops[i].name,
-                       /*compare_effort=*/false);
-    }
-  }
-  std::filesystem::remove_all(store_dir);
-}
-
-// Cross-machine ladder seeds (opt-in): the first point of a machine's
-// ladder may be offered another machine's accepted schedule over the
-// same (loop, front prefix, backend).  The seed verifier makes this
-// safe — final IIs are never worse than cold — and the 8-FU machine can
-// genuinely verify 6-FU schedules, so seeds are offered and sometimes
-// installed.
-TEST(Sweep, CrossMachineSeedsNeverWorseThanCold) {
-  const Suite suite = small_suite(8, 79);
-
-  std::vector<SweepPoint> points;
-  for (const int fus : {6, 8}) {  // same latency model -> same front prefix
-    for (const int budget : {6, 12}) {
-      SweepPoint point{cat("single", fus, "-", budget),
-                       MachineConfig::single_cluster_machine(fus), {}};
-      point.options.ims.budget_ratio = budget;
-      points.push_back(point);
-    }
-  }
-
-  SweepOptions warm_options;
-  warm_options.warm_start = true;
-  SweepOptions cross_options = warm_options;
-  cross_options.cross_machine_seeds = true;
-
-  const SweepResult warm = SweepRunner(warm_options).run(suite.loops, points);
-  const SweepResult cross = SweepRunner(cross_options).run(suite.loops, points);
-  const SweepResult cold = SweepRunner().run(suite.loops, points);
-
-  // The second machine's ladder start is seedless without cross-machine
-  // chaining; with it, those points are offered a foreign seed too.
-  EXPECT_GT(cross.cache.warm_probes, warm.cache.warm_probes);
-
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    for (std::size_t i = 0; i < suite.loops.size(); ++i) {
-      const LoopResult& x = cross.by_point[p][i];
-      const LoopResult& c = cold.by_point[p][i];
-      const std::string where = points[p].label + " / " + suite.loops[i].name;
-      EXPECT_EQ(x.ok, c.ok) << where;
-      if (c.ok) {
-        EXPECT_LE(x.ii, c.ii) << where;  // never worse, possibly better
-      }
     }
   }
 }
