@@ -149,8 +149,8 @@ inline double backend_seconds(const SweepResult& sweep) {
          sweep.stage_seconds(kStageSim);
 }
 
-/// One-line artifact-store / sched-memo counter summary (shared by the
-/// sharded and dispatched sweep drivers).
+/// One-line artifact-store / sched-memo counter summary (sweep_shard's
+/// footer).
 inline void print_store_counters(std::ostream& os, const SweepResult& sweep) {
   os << "store: front " << sweep.cache.disk_hits << "/" << sweep.cache.disk_probes << ", mii "
      << sweep.cache.mii_disk_hits << "/" << sweep.cache.mii_disk_probes << "; sched memo "
@@ -158,9 +158,8 @@ inline void print_store_counters(std::ostream& os, const SweepResult& sweep) {
 }
 
 /// Canonical results-only JSON: every semantic LoopResult field, no
-/// timing and no effort provenance, so a merged sharded sweep, a
-/// dispatched sweep and the single-process sweep all produce
-/// byte-identical files (CI diffs them).
+/// timing and no effort provenance, so a merged sharded sweep and the
+/// single-process sweep produce byte-identical files (CI diffs them).
 inline void write_results_json(std::ostream& os, const std::vector<SweepPoint>& points,
                                const SweepResult& sweep) {
   os << "{\n  \"bench\": \"perf_sweep\",\n"
@@ -190,8 +189,8 @@ inline void write_results_json(std::ostream& os, const std::vector<SweepPoint>& 
   os << "\n  ]\n}\n";
 }
 
-/// `--store-stats` implementation shared by sweep_shard and
-/// sweep_dispatch: the operator's inventory of a shared store directory.
+/// sweep_shard's `--store-stats`: the operator's inventory of a shared
+/// store directory.
 inline int print_store_stats(std::ostream& os, const std::string& dir) {
   if (dir.empty()) {
     os << "--store-stats requires --store DIR\n";

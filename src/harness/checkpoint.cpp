@@ -1,6 +1,5 @@
 #include "harness/checkpoint.h"
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -26,10 +25,9 @@ namespace {
 // v3: SweepCacheStats gained the verify/alloc memo counters (kShardMagic v5).
 // v4: sched_stats search telemetry + sched-memo counters (kShardMagic v6).
 // v5: the warm-start counters left SweepCacheStats (kShardMagic v7).
-constexpr std::uint64_t kJournalMagic = 0x514a524e4c000005ULL;  // "QJRNL" + v5
-
-constexpr std::int32_t kTaskRecord = 1;
-constexpr std::int32_t kHeartbeatRecord = 2;
+// v6: heartbeat records and the per-record kind field are gone; every
+//     record is a task.
+constexpr std::uint64_t kJournalMagic = 0x514a524e4c000006ULL;  // "QJRNL" + v6
 
 // header fields: magic u64, config u64, count i32, index i32, axis bool,
 // loops u64, points u64.
@@ -45,10 +43,6 @@ std::string hex16(std::uint64_t v) {
   char out[17];
   std::snprintf(out, sizeof out, "%016llx", static_cast<unsigned long long>(v));
   return std::string(out, 16);
-}
-
-std::uint64_t record_checksum(std::int32_t kind, std::string_view payload) {
-  return hash_combine(hash64(static_cast<std::uint64_t>(kind)), hash_bytes(payload));
 }
 
 void encode_header(BlobWriter& out, const JournalHeader& h) {
@@ -85,8 +79,6 @@ bool same_identity(const JournalHeader& a, const JournalHeader& b) {
 struct ParsedJournal {
   JournalHeader header;
   std::map<std::uint64_t, std::string> tasks;  // task id -> payload
-  std::uint64_t heartbeats = 0;
-  std::int64_t last_heartbeat_micros = 0;
   std::size_t valid_end = 0;  // offset just past the last intact record
 };
 
@@ -101,22 +93,11 @@ ParsedJournal parse_journal(std::string_view bytes) {
   parsed.valid_end = in.cursor();
   while (!in.exhausted()) {
     try {
-      const std::int32_t kind = in.get_i32();
       const std::string payload = in.get_string();
       if (payload.size() > kMaxPayloadBytes) break;
-      if (in.get_u64() != record_checksum(kind, payload)) break;
-      if (kind == kTaskRecord) {
-        BlobReader id_reader(payload);
-        parsed.tasks[id_reader.get_u64()] = payload;  // later record wins
-      } else if (kind == kHeartbeatRecord) {
-        BlobReader hb(payload);
-        parsed.last_heartbeat_micros = hb.get_i64();
-        (void)hb.get_u64();  // tasks-done count; informational
-        hb.require_exhausted("journal heartbeat record");
-        ++parsed.heartbeats;
-      } else {
-        break;  // unknown kind: a future format's tail, not ours to parse
-      }
+      if (in.get_u64() != hash_bytes(payload)) break;
+      BlobReader id_reader(payload);
+      parsed.tasks[id_reader.get_u64()] = payload;  // later record wins
       parsed.valid_end = in.cursor();
     } catch (const Error&) {
       break;  // torn tail
@@ -131,12 +112,6 @@ std::string read_file(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return std::move(buffer).str();
-}
-
-std::int64_t unix_micros_now() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
 }
 
 }  // namespace
@@ -217,11 +192,13 @@ TaskJournal::TaskJournal(std::string path, const JournalHeader& header)
   if (!out_.good()) fail(cat("cannot open checkpoint journal ", path_, " for append"));
 }
 
-void TaskJournal::append_record(std::int32_t kind, std::string_view payload) {
+void TaskJournal::append_task(std::uint64_t task_id, std::string_view payload) {
+  QVLIW_ASSERT(payload.size() >= 8, "task payload shorter than its id");
+  BlobReader id_reader(payload);
+  QVLIW_ASSERT(id_reader.get_u64() == task_id, "task payload id disagrees with task_id");
   BlobWriter out;
-  out.put_i32(kind);
   out.put_string(payload);
-  out.put_u64(record_checksum(kind, payload));
+  out.put_u64(hash_bytes(payload));
   const std::string bytes = out.take();
   out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   out_.flush();
@@ -231,22 +208,6 @@ void TaskJournal::append_record(std::int32_t kind, std::string_view payload) {
              "completed tasks cannot guarantee a restart"));
   }
   bytes_ += bytes.size();
-}
-
-void TaskJournal::append_task(std::uint64_t task_id, std::string_view payload) {
-  QVLIW_ASSERT(payload.size() >= 8, "task payload shorter than its id");
-  BlobReader id_reader(payload);
-  QVLIW_ASSERT(id_reader.get_u64() == task_id, "task payload id disagrees with task_id");
-  append_record(kTaskRecord, payload);
-  ++appended_tasks_;
-}
-
-void TaskJournal::append_heartbeat() {
-  BlobWriter payload;
-  payload.put_i64(unix_micros_now());
-  payload.put_u64(completed_.size() + appended_tasks_);
-  const std::string bytes = payload.take();
-  append_record(kHeartbeatRecord, bytes);
 }
 
 TaskCommitter::TaskCommitter(TaskJournal* journal, std::size_t capacity, Sink sink)
@@ -270,7 +231,6 @@ void TaskCommitter::commit_loop() {
     try {
       if (journal_ != nullptr && !commit.payload.empty()) {
         journal_->append_task(commit.task_id, commit.payload);
-        journal_->append_heartbeat();
       }
       ++committed_;
       if (sink_) sink_(commit, committed_);
@@ -289,27 +249,6 @@ void TaskCommitter::finish() {
     if (thread_.joinable()) thread_.join();
   }
   if (error_) std::rethrow_exception(error_);
-}
-
-JournalStatus read_journal_status(const std::string& path) {
-  JournalStatus status;
-  const std::string bytes = read_file(path);
-  std::error_code ec;
-  if (bytes.empty() && !fs::exists(path, ec)) return status;
-  status.exists = true;
-  if (bytes.size() < kHeaderBytes) return status;
-  try {
-    ParsedJournal parsed = parse_journal(bytes);
-    status.valid = true;
-    status.header = parsed.header;
-    status.tasks_done = parsed.tasks.size();
-    status.heartbeats = parsed.heartbeats;
-    status.last_heartbeat_micros = parsed.last_heartbeat_micros;
-    status.bytes = parsed.valid_end;
-  } catch (const Error&) {
-    // Foreign magic: exists, not a journal we can read.
-  }
-  return status;
 }
 
 }  // namespace qvliw

@@ -15,7 +15,7 @@
 //
 //   header:  magic+version u64, config_hash u64, shard_count i32,
 //            shard_index i32, axis bool, loops u64, points u64
-//   records: kind i32, payload string, checksum u64  (repeated)
+//   records: payload string, checksum u64  (repeated; one per completed task)
 //
 // Records are appended with one flushed write each, so a killed worker
 // can leave at most one torn record at the tail; reopening validates
@@ -27,13 +27,7 @@
 // exchanged between runs of the same build, so version skew is an error,
 // not a silent miss — the same discipline as shard files.
 //
-// Two record kinds exist: completed tasks, and *heartbeats* (wall-clock
-// micros + tasks done), appended after every task commit.  The dispatcher
-// (harness/dispatch.h) watches raw journal *growth* (file size) as its
-// liveness signal for straggler detection; read_journal_status is the
-// richer read-only probe — record counts, heartbeat timestamps — for
-// tests today and for a networked monitor that cannot share a steady
-// clock with the worker.  Every decode site ends in
+// Every record is one completed task; decode_task_payload ends in
 // BlobReader::require_exhausted.
 #pragma once
 
@@ -88,9 +82,10 @@ struct TaskPayload {
 /// bytes, or implausible counts.
 [[nodiscard]] TaskPayload decode_task_payload(const std::string& blob);
 
-/// The append-only task journal.  Single-writer by contract: the
-/// dispatcher never runs two workers against one journal at a time, and
-/// SweepRunner serialises appends under its merge lock.
+/// The append-only task journal.  Single-writer by contract: each shard
+/// identity has its own file, one process runs a shard at a time, and
+/// SweepRunner appends from one thread only (the committer's, when
+/// threaded).
 class TaskJournal {
  public:
   /// Opens (creating parent directories as needed) the journal at `path`
@@ -125,19 +120,13 @@ class TaskJournal {
   /// output whose loop_index equals `task_id`.
   void append_task(std::uint64_t task_id, std::string_view payload);
 
-  /// Appends a heartbeat record (wall-clock micros + tasks done so far).
-  void append_heartbeat();
-
  private:
-  void append_record(std::int32_t kind, std::string_view payload);
-
   std::string path_;
   JournalHeader header_;
   std::map<std::uint64_t, std::string> completed_;
   std::ofstream out_;
   std::uint64_t bytes_ = 0;
   std::uint64_t truncated_ = 0;
-  std::uint64_t appended_tasks_ = 0;
 };
 
 /// One completed task en route to the committer: the accounting deltas
@@ -156,11 +145,10 @@ struct TaskCommit {
 
 /// The single serialization point of a multi-threaded sweep: one
 /// dedicated thread drains a bounded channel of TaskCommits, appends each
-/// to the journal (task record + heartbeat, exactly the serial runner's
-/// cadence — the append-only checksum format and replay semantics are
-/// untouched), and then runs the caller's sink.  Workers submit() from
-/// any thread; the bounded channel back-pressures them when the journal
-/// is the bottleneck.
+/// to the journal (exactly the serial runner's cadence — the append-only
+/// checksum format and replay semantics are untouched), and then runs the
+/// caller's sink.  Workers submit() from any thread; the bounded channel
+/// back-pressures them when the journal is the bottleneck.
 ///
 /// Error contract: the first journal-append or sink exception is
 /// captured, every later commit is drained but *discarded* (producers
@@ -205,20 +193,5 @@ class TaskCommitter {
   bool finished_ = false;
   std::thread thread_;
 };
-
-/// Read-only probe of a journal file — the dispatcher's liveness view.
-/// Never modifies the file (no torn-tail truncation); a missing file
-/// reports exists == false, an unreadable or foreign one valid == false.
-struct JournalStatus {
-  bool exists = false;
-  bool valid = false;  // header decoded with the expected magic/version
-  JournalHeader header;
-  std::uint64_t tasks_done = 0;   // distinct completed task ids
-  std::uint64_t heartbeats = 0;
-  std::uint64_t bytes = 0;        // header + intact records (torn tail excluded)
-  std::int64_t last_heartbeat_micros = 0;  // unix micros of the newest heartbeat
-};
-
-[[nodiscard]] JournalStatus read_journal_status(const std::string& path);
 
 }  // namespace qvliw

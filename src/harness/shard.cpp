@@ -221,6 +221,13 @@ SweepShard decode_sweep_shard(const std::string& blob) {
   r.pipelines = in.get_u64();
   const std::uint64_t point_count = in.get_u64();
   check(point_count == shard.header.points, "shard blob: by_point size disagrees with header");
+  // Bound the dimensions by the bytes left before allocating anything:
+  // every row carries an 8-byte loop count and every cell at least one
+  // byte, so inflated header fields fail here instead of in the allocator.
+  const std::uint64_t remaining = blob.size() - in.cursor();
+  check(point_count <= remaining / 8 &&
+            (point_count == 0 || shard.header.loops <= remaining / point_count),
+        "shard blob: dimensions exceed the blob size");
   r.by_point.resize(point_count);
   for (std::uint64_t p = 0; p < point_count; ++p) {
     const std::uint64_t loop_count = in.get_u64();
@@ -262,7 +269,8 @@ SweepResult merge_sweep_shards(std::vector<SweepShard> shards) {
   }
 
   SweepResult merged;
-  merged.by_point.assign(first.points, std::vector<LoopResult>(first.loops));
+  merged.by_point.resize(first.points);
+  for (std::vector<LoopResult>& row : merged.by_point) row.resize(first.loops);
   std::map<std::string, double, std::less<>> totals;
   for (SweepShard& shard : shards) {
     // Overlap validation: a shard must hold results for exactly the cells

@@ -784,10 +784,7 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
       // between tasks with exactly the committed prefix journaled.
       for (const SweepTask* task : pending) {
         TaskCommit commit = execute_task(*task);
-        if (journal != nullptr) {
-          journal->append_task(commit.task_id, commit.payload);
-          journal->append_heartbeat();
-        }
+        if (journal != nullptr) journal->append_task(commit.task_id, commit.payload);
         apply_commit(commit);
       }
     } else {

@@ -173,9 +173,8 @@ struct SweepOptions {
   /// (one per hardware thread, on the shared pool); 1 = serial; N > 1 =
   /// exactly N threads on a private pool, even when the machine has fewer
   /// cores (how tests exercise real concurrency on small runners).
-  /// Composes with process sharding: a dispatcher running P worker
-  /// processes of W threads each should keep P*W near the core count —
-  /// resolved_worker_threads (harness/dispatch.h) is that guard.
+  /// Composes with process sharding: P `sweep_shard run` processes of W
+  /// threads each should keep P*W near the core count.
   ///
   /// Determinism: a task (one loop, its owned points) is the unit of
   /// scheduling, and everything order-sensitive — per-loop caches, the
@@ -232,8 +231,7 @@ struct SweepOptions {
   /// stalls the commit pipeline, not the workers.  An exception aborts
   /// the sweep (serial: immediately; threaded: no further tasks commit,
   /// and run() rethrows once in-flight tasks drain).  The SIGKILL-resume
-  /// tests and the dispatcher's straggler injection are the intended
-  /// users.
+  /// tests are the intended users.
   std::function<void(std::uint64_t committed)> on_task_committed;
 
   /// Sweep-level translation validation.  kSample audits a deterministic

@@ -20,9 +20,8 @@
 // threads.  Completion is counted per *chunk*, not per worker, so a
 // fan-out on a thread-less pool degrades to the caller draining every
 // chunk itself — serial, but correct and deadlock-free.  Code that forks
-// workers (harness/dispatch) still must not run a fan-out in the parent
-// concurrently with fork(); the dispatcher forks only from its own
-// single-threaded poll loop.
+// must still not run a fan-out in the parent concurrently with fork():
+// fork only from a single-threaded point, as the SIGKILL-resume tests do.
 //
 // `parallel_for_rng` supplies the body with a private RNG stream per
 // chunk, seeded from (seed, chunk start) with a grain that depends only on

@@ -801,11 +801,8 @@ namespace {
 
 // "QVBNDL" + format version.  Bump on any layout change below.  Version
 // 0002 added the machine's topology fields and collapsed the queue-domain
-// kinds to {private, segment}; version-0001 bundles are still decoded
-// (machines default to ring, cw/ccw domain kinds translate to canonical
-// segment ids).
+// kinds to {private, segment}; version-0001 bundles are rejected.
 constexpr std::uint64_t kVerifyBundleMagic = 0x5156424e444c0002ULL;
-constexpr std::uint64_t kVerifyBundleMagicV1 = 0x5156424e444c0001ULL;
 constexpr int kMaxBundleItems = 1 << 24;
 
 void put_domain(BlobWriter& out, const QueueDomain& domain) {
@@ -813,18 +810,9 @@ void put_domain(BlobWriter& out, const QueueDomain& domain) {
   out.put_i32(domain.index);
 }
 
-QueueDomain get_domain(BlobReader& in, int version, int cluster_count) {
+QueueDomain get_domain(BlobReader& in) {
   const std::int32_t kind = in.get_i32();
   QueueDomain domain;
-  if (version == 1) {
-    // v1 kinds: 0 private, 1 ring-cw (segment i: i -> i+1), 2 ring-ccw
-    // (segment i: i+1 -> i, canonical id k+i).
-    if (kind < 0 || kind > 2) fail(cat("verify bundle: bad queue-domain kind ", kind));
-    domain.kind = kind == 0 ? QueueDomain::Kind::kPrivate : QueueDomain::Kind::kSegment;
-    domain.index = in.get_i32();
-    if (kind == 2) domain.index += cluster_count;
-    return domain;
-  }
   if (kind < 0 || kind > 1) fail(cat("verify bundle: bad queue-domain kind ", kind));
   domain.kind = static_cast<QueueDomain::Kind>(kind);
   domain.index = in.get_i32();
@@ -860,7 +848,7 @@ void put_allocation(BlobWriter& out, const QueueAllocation& allocation) {
   }
 }
 
-QueueAllocation get_allocation(BlobReader& in, int version, int cluster_count) {
+QueueAllocation get_allocation(BlobReader& in) {
   QueueAllocation allocation;
   allocation.ii = in.get_i32();
   if (allocation.ii < 1) fail(cat("verify bundle: allocation II ", allocation.ii));
@@ -873,7 +861,7 @@ QueueAllocation get_allocation(BlobReader& in, int version, int cluster_count) {
     lt.consumer = in.get_i32();
     lt.push = in.get_i32();
     lt.pop = in.get_i32();
-    lt.domain = get_domain(in, version, cluster_count);
+    lt.domain = get_domain(in);
     allocation.lifetimes.push_back(lt);
   }
   const int assignments = get_count(in, "queue_of");
@@ -883,7 +871,7 @@ QueueAllocation get_allocation(BlobReader& in, int version, int cluster_count) {
   allocation.queues.reserve(static_cast<std::size_t>(queues));
   for (int q = 0; q < queues; ++q) {
     AllocatedQueue queue;
-    queue.domain = get_domain(in, version, cluster_count);
+    queue.domain = get_domain(in);
     queue.index_in_domain = in.get_i32();
     queue.max_occupancy = in.get_i32();
     const int members = get_count(in, "queue member");
@@ -931,23 +919,13 @@ std::string encode_verify_bundle(const VerifyBundle& bundle) {
 
 VerifyBundle decode_verify_bundle(const std::string& blob) {
   BlobReader in(blob);
-  const std::uint64_t magic = in.get_u64();
-  int version = 0;
-  if (magic == kVerifyBundleMagic) {
-    version = 2;
-  } else if (magic == kVerifyBundleMagicV1) {
-    version = 1;
-  } else {
-    fail("verify bundle: bad magic");
-  }
+  check(in.get_u64() == kVerifyBundleMagic, "verify bundle: bad magic/version");
   VerifyBundle bundle;
   bundle.loop = deserialize_loop(in);
-  bundle.machine = deserialize_machine(in, version);
+  bundle.machine = deserialize_machine(in);
   bundle.schedule = deserialize_schedule(in);
   bundle.has_allocation = in.get_bool();
-  if (bundle.has_allocation) {
-    bundle.allocation = get_allocation(in, version, bundle.machine.cluster_count());
-  }
+  if (bundle.has_allocation) bundle.allocation = get_allocation(in);
   bundle.check_fanout = in.get_bool();
   bundle.must_fit = in.get_bool();
   in.require_exhausted("verify bundle");

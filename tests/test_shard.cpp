@@ -119,6 +119,53 @@ TEST(Shard, DecodeRejectsTrailingBytesAndBadMagic) {
   EXPECT_THROW((void)decode_sweep_shard(corrupt), Error);
 }
 
+// Overwrites the little-endian u64 at `offset` of an encoded blob.
+void patch_u64(std::string& bytes, std::size_t offset, std::uint64_t value) {
+  BlobWriter out;
+  out.put_u64(value);
+  bytes.replace(offset, 8, out.take());
+}
+
+// Inflated dimensions never size an allocation: decode rejects them with
+// Error instead of surfacing std::bad_alloc, and merge sizes nothing from
+// a loop count that has no cells.
+TEST(Shard, InflatedDimensionsNeverReachTheAllocator) {
+  SweepShard shard;
+  shard.header.loops = 0;
+  shard.header.points = 1;
+  shard.result.by_point.resize(1);  // one empty row
+  const std::string bytes = encode_sweep_shard(shard);
+  ASSERT_NO_THROW((void)decode_sweep_shard(bytes));
+
+  // Header layout: magic u64, count i32, index i32, axis bool, then
+  // loops u64 at 17 and points u64 at 25.  The blob ends with the body's
+  // point count and the single row's loop count.
+  constexpr std::size_t kLoopsAt = 8 + 4 + 4 + 1;
+  constexpr std::size_t kPointsAt = kLoopsAt + 8;
+  const std::size_t row_loops_at = bytes.size() - 8;
+  const std::size_t body_points_at = bytes.size() - 16;
+  constexpr std::uint64_t kHuge = 1ULL << 40;
+
+  std::string loops = bytes;
+  patch_u64(loops, kLoopsAt, kHuge);
+  patch_u64(loops, row_loops_at, kHuge);
+  EXPECT_THROW((void)decode_sweep_shard(loops), Error);
+
+  std::string points = bytes;
+  patch_u64(points, kPointsAt, kHuge);
+  patch_u64(points, body_points_at, kHuge);
+  EXPECT_THROW((void)decode_sweep_shard(points), Error);
+
+  // With zero points there are no cells, so any loop count decodes; the
+  // merge must not size anything from it either.
+  SweepShard empty;
+  std::string no_points = encode_sweep_shard(empty);
+  patch_u64(no_points, kLoopsAt, kHuge);
+  std::vector<SweepShard> shards;
+  shards.push_back(decode_sweep_shard(no_points));
+  EXPECT_TRUE(merge_sweep_shards(std::move(shards)).by_point.empty());
+}
+
 // The tentpole golden test: the merged N-shard sweep is bit-identical to
 // the single-process sweep on both shard axes, with the cells stitched
 // from the shard that owns them and the accounting summed.

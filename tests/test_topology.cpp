@@ -147,11 +147,11 @@ TEST(Topology, SegmentNames) {
   EXPECT_THROW((void)ring.segment_name(8), Error);
 }
 
-// --- machine codec versioning ---------------------------------------------
+// --- machine codec -----------------------------------------------------------
 
-/// Bytes of `machine` serialized at codec version 1: today's layout with
-/// the topology suffix (kind + mesh dims, three i32s) chopped off.
-std::string v1_machine_bytes(const MachineConfig& machine) {
+/// Serialized `machine` with the topology suffix (kind + mesh dims, three
+/// i32s) chopped off; the tests below append malformed suffixes to it.
+std::string machine_bytes_without_topology(const MachineConfig& machine) {
   BlobWriter out;
   serialize_machine(out, machine);
   std::string bytes = out.take();
@@ -164,17 +164,14 @@ std::string v1_machine_bytes(const MachineConfig& machine) {
   return bytes;
 }
 
-TEST(MachineCodec, V1BlobDecodesAsRing) {
-  const MachineConfig machine = MachineConfig::clustered_machine(3);
-  const std::string bytes = v1_machine_bytes(machine);
+TEST(MachineCodec, BlobWithoutTopologyIsRejected) {
+  // The topology suffix is required.
+  const std::string bytes = machine_bytes_without_topology(MachineConfig::clustered_machine(3));
   BlobReader reader(bytes);
-  const MachineConfig copy = deserialize_machine(reader, 1);
-  reader.require_exhausted("machine v1");
-  EXPECT_EQ(copy.topology_kind, TopologyKind::kRing);
-  EXPECT_EQ(copy.signature(), machine.signature());
+  EXPECT_THROW((void)deserialize_machine(reader), Error);
 }
 
-TEST(MachineCodec, V2RoundTripsEveryTopology) {
+TEST(MachineCodec, RoundTripsEveryTopology) {
   for (const MachineConfig& machine :
        {MachineConfig::clustered_machine(4), MachineConfig::mesh_machine(2, 3),
         MachineConfig::crossbar_machine(4)}) {
@@ -183,7 +180,7 @@ TEST(MachineCodec, V2RoundTripsEveryTopology) {
     const std::string bytes = out.take();
     BlobReader reader(bytes);
     const MachineConfig copy = deserialize_machine(reader);
-    reader.require_exhausted("machine v2");
+    reader.require_exhausted("machine");
     EXPECT_EQ(copy.topology_kind, machine.topology_kind);
     EXPECT_EQ(copy.mesh_rows, machine.mesh_rows);
     EXPECT_EQ(copy.mesh_cols, machine.mesh_cols);
@@ -193,7 +190,7 @@ TEST(MachineCodec, V2RoundTripsEveryTopology) {
 }
 
 TEST(MachineCodec, RejectsBadTopologyKind) {
-  std::string bytes = v1_machine_bytes(MachineConfig::clustered_machine(3));
+  std::string bytes = machine_bytes_without_topology(MachineConfig::clustered_machine(3));
   BlobWriter suffix;
   suffix.put_i32(7);  // no such TopologyKind
   suffix.put_i32(0);
@@ -204,7 +201,7 @@ TEST(MachineCodec, RejectsBadTopologyKind) {
 }
 
 TEST(MachineCodec, RejectsMeshDimsThatDoNotCoverClusters) {
-  std::string bytes = v1_machine_bytes(MachineConfig::mesh_machine(2, 3));
+  std::string bytes = machine_bytes_without_topology(MachineConfig::mesh_machine(2, 3));
   BlobWriter suffix;
   suffix.put_i32(static_cast<std::int32_t>(TopologyKind::kMesh));
   suffix.put_i32(2);
@@ -212,20 +209,6 @@ TEST(MachineCodec, RejectsMeshDimsThatDoNotCoverClusters) {
   bytes += suffix.take();
   BlobReader reader(bytes);
   EXPECT_THROW((void)deserialize_machine(reader), Error);
-}
-
-TEST(MachineCodec, RejectsUnknownVersion) {
-  BlobWriter out;
-  serialize_machine(out, MachineConfig::clustered_machine(2));
-  const std::string bytes = out.take();
-  {
-    BlobReader reader(bytes);
-    EXPECT_THROW((void)deserialize_machine(reader, 0), Error);
-  }
-  {
-    BlobReader reader(bytes);
-    EXPECT_THROW((void)deserialize_machine(reader, kMachineCodecVersion + 1), Error);
-  }
 }
 
 }  // namespace
