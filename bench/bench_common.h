@@ -6,6 +6,8 @@
 // the cached front-end artifacts instead of recomputing them per point.
 #pragma once
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -22,35 +24,29 @@
 
 namespace qvliw::bench {
 
+/// A positive integer from environment variable `name`, or `fallback`
+/// when it is unset.  Any other value (empty, non-numeric, trailing
+/// characters, out of range, <= 0) is an error: the bench names the
+/// variable and exits with status 2 before doing any work.
+inline int env_positive_int(const char* name, int fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  errno = 0;
+  char* end = nullptr;
+  const long n = std::strtol(env, &end, 10);
+  if (end == env || *end != '\0' || errno == ERANGE || n <= 0 || n > INT_MAX) {
+    std::cerr << name << "=\"" << env << "\" is not a positive integer\n";
+    std::exit(2);
+  }
+  return static_cast<int>(n);
+}
+
 /// Suite size: the paper's 1258 loops by default; override with
 /// QVLIW_LOOPS=<n> for quick runs.
-inline int suite_size() {
-  if (const char* env = std::getenv("QVLIW_LOOPS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 1258;
-}
-
-/// Default worker-thread request for the benches: QVLIW_WORKERS=<n>, 0 =
-/// auto (one per hardware thread).  Benches overriding it with a
-/// --workers flag still fall back here when the flag is absent.
-inline int env_workers() {
-  if (const char* env = std::getenv("QVLIW_WORKERS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 0;
-}
+inline int suite_size() { return env_positive_int("QVLIW_LOOPS", 1258); }
 
 /// Unroll search bound (QVLIW_MAX_UNROLL, default 8 as in the library).
-inline int max_unroll() {
-  if (const char* env = std::getenv("QVLIW_MAX_UNROLL")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 8;
-}
+inline int max_unroll() { return env_positive_int("QVLIW_MAX_UNROLL", 8); }
 
 inline Suite make_suite() {
   SynthConfig config;
@@ -96,11 +92,11 @@ struct TopologyChoice {
   }
 };
 
-/// The multi-heuristic back-end sweep perf_micro and sweep_shard share:
-/// every point reuses the unrolled/copy-inserted front end of one machine
-/// (default: the paper's 4-cluster ring) and differs only in (heuristic,
-/// IMS budget), so the points form ascending-budget warm-start ladders
-/// per heuristic.
+/// The multi-heuristic back-end sweep that sweep_shard runs: every point
+/// reuses the unrolled/copy-inserted front end of one machine (default:
+/// the paper's 4-cluster ring) and differs only in (heuristic, IMS
+/// budget), so the points form ascending-budget warm-start ladders per
+/// heuristic.
 inline std::vector<SweepPoint> perf_sweep_points(const TopologyChoice& choice = {}) {
   PipelineOptions base;
   base.unroll = true;
@@ -141,12 +137,6 @@ inline void print_sweep_footer(std::ostream& os, const SweepResult& sweep) {
     os << " " << total.stage << " " << fixed(total.seconds, 2) << "s";
   }
   os << "\n";
-}
-
-/// Sum of the back-end stages' wall time (the part seeded schedules shrink).
-inline double backend_seconds(const SweepResult& sweep) {
-  return sweep.stage_seconds(kStageSchedule) + sweep.stage_seconds(kStageQueueAlloc) +
-         sweep.stage_seconds(kStageSim);
 }
 
 /// One-line artifact-store / sched-memo counter summary (sweep_shard's

@@ -1,6 +1,6 @@
 // Process-sharded sweep driver.
 //
-// Runs the perf_micro multi-heuristic sweep as one shard of an N-way
+// Runs the multi-heuristic perf sweep as one shard of an N-way
 // partition, serialises the shard's SweepResult through the portable
 // blob codec, and merges shard files back into the single-process
 // result.  All shards of one sweep share the artifact store (--store),
@@ -16,8 +16,8 @@
 // select the swept machine; merge must be invoked with the same choice so
 // the canonical JSON carries the right point labels.
 //
-// `--workers M` (default QVLIW_WORKERS, else one per hardware thread)
-// runs the shard's sweep on M threads — sharding and threading compose, and the merged result
+// `--workers M` (default: one per hardware thread) runs the shard's sweep
+// on M threads — sharding and threading compose, and the merged result
 // stays fingerprint-identical at any worker count.
 //
 // `merge` and `single` write byte-identical canonical results JSON when
@@ -48,7 +48,7 @@ struct Args {
   std::vector<std::string> inputs;
   int shards = 1;
   int shard = 0;
-  int workers = bench::env_workers();  // 0 = one thread per hardware thread
+  int workers = 0;  // 0 = one thread per hardware thread
   bench::TopologyChoice topology;
   ShardAxis axis = ShardAxis::kLoops;
   bool verify = false;  // strict translation validation on every pipeline

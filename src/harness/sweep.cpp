@@ -25,11 +25,6 @@ double SweepCacheStats::hit_rate() const {
   return p == 0 ? 0.0 : static_cast<double>(hits()) / static_cast<double>(p);
 }
 
-double SweepCacheStats::disk_hit_rate() const {
-  return disk_probes == 0 ? 0.0
-                          : static_cast<double>(disk_hits) / static_cast<double>(disk_probes);
-}
-
 SweepCacheStats& SweepCacheStats::operator+=(const SweepCacheStats& other) {
   invariant_probes += other.invariant_probes;
   invariant_hits += other.invariant_hits;

@@ -102,8 +102,7 @@ struct SweepCacheStats {
   [[nodiscard]] std::uint64_t hits() const {
     return invariant_hits + unroll_hits + front_hits + mii_hits;
   }
-  [[nodiscard]] double hit_rate() const;       // hits/probes; 0 when no probes
-  [[nodiscard]] double disk_hit_rate() const;  // disk_hits/disk_probes; 0 when no probes
+  [[nodiscard]] double hit_rate() const;  // hits/probes; 0 when no probes
 
   SweepCacheStats& operator+=(const SweepCacheStats& other);
 };

@@ -39,13 +39,6 @@ std::atomic<std::uint64_t> temp_counter{0};
 
 ArtifactStore::ArtifactStore(std::string root) : root_(std::move(root)) {}
 
-std::string ArtifactStore::default_dir() {
-  if (const char* env = std::getenv("QVLIW_STORE_DIR"); env != nullptr && env[0] != '\0') {
-    return env;
-  }
-  return ".qvliw-store";
-}
-
 std::string ArtifactStore::path_for(std::uint64_t key) const {
   const std::string hex = hex16(key);
   return root_ + "/" + hex.substr(0, 2) + "/" + hex + ".qart";

@@ -91,10 +91,6 @@ class ArtifactStore {
   /// report which key domains a long-lived shared store has accumulated.
   void mark_version(std::uint64_t version) const;
 
-  /// Store directory used when the caller does not name one:
-  /// $QVLIW_STORE_DIR, defaulting to ".qvliw-store".
-  [[nodiscard]] static std::string default_dir();
-
  private:
   /// One lock stripe of the in-memory index.  Blobs are shared_ptr so a
   /// reader can copy the bytes out after dropping the stripe lock even if

@@ -1,13 +1,13 @@
 // Frozen reference IMS — the pre-arena, std::set-based implementation.
 //
 // This is the behavioral oracle for the allocation-free ImsSearcher in
-// ims.cpp: same algorithm, same (-height, op) pop order, same forced
-// placement and eviction rules, written the straightforward way (a
+// src/sched/ims.cpp: same algorithm, same (-height, op) pop order, same
+// forced placement and eviction rules, written the straightforward way (a
 // red-black-tree ready queue, per-attempt allocation, linear FU probes).
-// The golden-equivalence suite (tests/test_ims_golden.cpp) and the
-// bench_ims gate require ims_schedule to produce bit-identical schedules
-// and identical search statistics to this function over the whole
-// workload suite.  Do not "optimise" this file; its slowness is the
+// The golden-equivalence suite (test_ims_golden.cpp, the only target this
+// file is compiled into) requires ims_schedule to produce bit-identical
+// schedules and identical search statistics to this function over the
+// whole workload suite.  Do not "optimise" this file; its slowness is the
 // point of comparison.
 #pragma once
 

@@ -1,5 +1,5 @@
 // Golden equivalence of the allocation-free ImsSearcher (sched/ims.cpp)
-// against the frozen set-based reference (sched/ims_reference.cpp), plus
+// against the frozen set-based reference (ims_reference.cpp), plus
 // the sweep-level properties of the MII-optimality ladder short-circuit.
 //
 // The arena searcher must be a pure perf transform: bit-identical
@@ -15,8 +15,8 @@
 #include "cluster/partition.h"
 #include "harness/shard.h"
 #include "harness/sweep.h"
+#include "ims_reference.h"
 #include "sched/ims.h"
-#include "sched/ims_reference.h"
 #include "support/artifact_store.h"
 #include "support/rng.h"
 #include "support/strings.h"
@@ -178,6 +178,43 @@ TEST(ImsGolden, SweepFingerprintStableAcrossWorkersAndWarmth) {
   EXPECT_EQ(fingerprint_hex(SweepRunner(stored4).run(suite.loops, points)), kPinned)
       << "stored w4";
   std::filesystem::remove_all(store);
+}
+
+TEST(ImsGolden, StrictCachedSweepMatchesUncachedOnFullSuite) {
+  // The full ring-4 perf sweep under strict translation validation, once
+  // with the front-end cache and ladder memo and once with neither.  The
+  // memo installs schedules without searching, so the optimality bit it
+  // carries is checked cell by cell here: the fingerprint excludes it.
+  const Suite suite = full_suite();
+  const std::vector<SweepPoint> points = ring4_ladder_points();
+
+  SweepOptions cached_options;
+  cached_options.verify_mode = SweepVerifyMode::kStrict;
+  SweepOptions uncached_options = cached_options;
+  uncached_options.use_cache = false;
+  const SweepResult cached = SweepRunner(cached_options).run(suite.loops, points);
+  const SweepResult uncached = SweepRunner(uncached_options).run(suite.loops, points);
+
+  EXPECT_EQ(fingerprint_hex(cached), fingerprint_hex(uncached));
+  for (const SweepResult* sweep : {&cached, &uncached}) {
+    EXPECT_EQ(sweep->verify_checked(), 7548u);
+    EXPECT_EQ(sweep->verify_violations(), 0u);
+  }
+
+  ASSERT_EQ(cached.by_point.size(), uncached.by_point.size());
+  int mii_optimal = 0;
+  for (std::size_t p = 0; p < cached.by_point.size(); ++p) {
+    ASSERT_EQ(cached.by_point[p].size(), uncached.by_point[p].size());
+    for (std::size_t i = 0; i < cached.by_point[p].size(); ++i) {
+      const LoopResult& r = cached.by_point[p][i];
+      EXPECT_EQ(r.sched_stats.mii_optimal, uncached.by_point[p][i].sched_stats.mii_optimal)
+          << points[p].label << " / " << r.name;
+      if (!r.sched_stats.mii_optimal) continue;
+      ++mii_optimal;
+      EXPECT_TRUE(r.ok && r.ii == r.mii) << points[p].label << " / " << r.name;
+    }
+  }
+  EXPECT_EQ(mii_optimal, 7429);
 }
 
 TEST(ImsGolden, LadderMemoFiresAndInstallsVerifiedSchedules) {

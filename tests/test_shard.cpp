@@ -13,7 +13,7 @@
 namespace qvliw {
 namespace {
 
-// The perf_micro-shaped sweep: one clustered machine, heuristic x budget
+// The perf-sweep shape: one clustered machine, heuristic x budget
 // back ends sharing a front prefix, so memoised budget ladders form.
 std::vector<SweepPoint> ladder_points() {
   std::vector<SweepPoint> points;
