@@ -10,6 +10,7 @@
 #include <climits>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "harness/experiment.h"
@@ -24,6 +25,32 @@
 
 namespace qvliw::bench {
 
+/// The whole of `text` as a base-10 int no smaller than `min_value`;
+/// nullopt when it is empty, non-numeric, has trailing characters, or is
+/// out of range.  The one integer parser of every bench flag and
+/// environment variable.
+inline std::optional<int> parse_int(const char* text, int min_value) {
+  errno = 0;
+  char* end = nullptr;
+  const long n = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || n < min_value || n > INT_MAX) {
+    return std::nullopt;
+  }
+  return static_cast<int>(n);
+}
+
+/// parse_int for the value of command-line flag `flag`.  A bad value is
+/// an error: the bench names the flag and exits with status 2 before
+/// doing any work.
+inline int flag_int(const char* flag, const char* text, int min_value) {
+  const std::optional<int> n = parse_int(text, min_value);
+  if (!n.has_value()) {
+    std::cerr << flag << " \"" << text << "\" is not an integer >= " << min_value << "\n";
+    std::exit(2);
+  }
+  return *n;
+}
+
 /// A positive integer from environment variable `name`, or `fallback`
 /// when it is unset.  Any other value (empty, non-numeric, trailing
 /// characters, out of range, <= 0) is an error: the bench names the
@@ -31,14 +58,12 @@ namespace qvliw::bench {
 inline int env_positive_int(const char* name, int fallback) {
   const char* env = std::getenv(name);
   if (env == nullptr) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long n = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || errno == ERANGE || n <= 0 || n > INT_MAX) {
+  const std::optional<int> n = parse_int(env, 1);
+  if (!n.has_value()) {
     std::cerr << name << "=\"" << env << "\" is not a positive integer\n";
     std::exit(2);
   }
-  return static_cast<int>(n);
+  return *n;
 }
 
 /// Suite size: the paper's 1258 loops by default; override with
@@ -72,8 +97,9 @@ struct TopologyChoice {
   [[nodiscard]] std::string label() const { return topology_label(kind, clusters); }
 
   /// Consumes `--topology`/`--clusters` at argv[a] (advancing `a` past the
-  /// value).  Returns false on an unknown flag or a bad value; callers fall
-  /// through to their own flag handling.
+  /// value).  Returns false on an unknown flag, a missing value or a bad
+  /// topology name; callers fall through to their own flag handling.  A
+  /// bad `--clusters` value exits with status 2 (see flag_int).
   bool parse_flag(int argc, char** argv, int& a) {
     const std::string flag = argv[a];
     if (flag == "--topology") {
@@ -85,14 +111,14 @@ struct TopologyChoice {
     }
     if (flag == "--clusters") {
       if (a + 1 >= argc) return false;
-      clusters = std::atoi(argv[++a]);
-      return clusters >= 1;
+      clusters = flag_int("--clusters", argv[++a], 1);
+      return true;
     }
     return false;
   }
 };
 
-/// The multi-heuristic back-end sweep that sweep_shard runs: every point
+/// The multi-heuristic back-end sweep that perf_sweep runs: every point
 /// reuses the unrolled/copy-inserted front end of one machine (default:
 /// the paper's 4-cluster ring) and differs only in (heuristic, IMS
 /// budget), so the points form ascending-budget warm-start ladders per
@@ -139,7 +165,7 @@ inline void print_sweep_footer(std::ostream& os, const SweepResult& sweep) {
   os << "\n";
 }
 
-/// One-line artifact-store / sched-memo counter summary (sweep_shard's
+/// One-line artifact-store / sched-memo counter summary (perf_sweep's
 /// footer).
 inline void print_store_counters(std::ostream& os, const SweepResult& sweep) {
   os << "store: front " << sweep.cache.disk_hits << "/" << sweep.cache.disk_probes << ", mii "
@@ -148,8 +174,8 @@ inline void print_store_counters(std::ostream& os, const SweepResult& sweep) {
 }
 
 /// Canonical results-only JSON: every semantic LoopResult field, no
-/// timing and no effort provenance, so a merged sharded sweep and the
-/// single-process sweep produce byte-identical files (CI diffs them).
+/// timing and no effort provenance, so two runs of one sweep produce
+/// byte-identical files at any worker count.
 inline void write_results_json(std::ostream& os, const std::vector<SweepPoint>& points,
                                const SweepResult& sweep) {
   os << "{\n  \"bench\": \"perf_sweep\",\n"
@@ -179,8 +205,8 @@ inline void write_results_json(std::ostream& os, const std::vector<SweepPoint>& 
   os << "\n  ]\n}\n";
 }
 
-/// sweep_shard's `--store-stats`: the operator's inventory of a shared
-/// store directory.
+/// perf_sweep's `--store-stats`: the operator's inventory of a store
+/// directory.
 inline int print_store_stats(std::ostream& os, const std::string& dir) {
   if (dir.empty()) {
     os << "--store-stats requires --store DIR\n";

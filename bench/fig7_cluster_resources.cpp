@@ -57,11 +57,7 @@ int run(int argc, char** argv) {
       }
       kinds = {*kind};
     } else if (arg == "--clusters" && a + 1 < argc) {
-      clusters_override = std::atoi(argv[++a]);
-      if (clusters_override < 1) {
-        std::cerr << "bad --clusters value\n";
-        return 2;
-      }
+      clusters_override = bench::flag_int("--clusters", argv[++a], 1);
     } else if (arg == "--out" && a + 1 < argc) {
       out_path = argv[++a];
     } else {

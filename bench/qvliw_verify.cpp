@@ -44,11 +44,11 @@ int dump(int argc, char** argv) {
   for (int a = 3; a < argc; ++a) {
     const std::string arg = argv[a];
     if (arg == "--index" && a + 1 < argc) {
-      index = std::atoi(argv[++a]);
+      index = bench::flag_int("--index", argv[++a], 0);
     } else if (arg == "--clusters" && a + 1 < argc) {
-      clusters = std::atoi(argv[++a]);
+      clusters = bench::flag_int("--clusters", argv[++a], 1);
     } else if (arg == "--budget" && a + 1 < argc) {
-      budget = std::atoi(argv[++a]);
+      budget = bench::flag_int("--budget", argv[++a], 1);
     } else if (arg == "--topology" && a + 1 < argc) {
       const auto parsed = parse_topology_kind(argv[++a]);
       if (!parsed.has_value()) return usage();

@@ -9,6 +9,8 @@
 // generator.
 //
 //   QVLIW_LOOPS=200 ./build/examples/suite_stats
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <iostream>
 
@@ -22,9 +24,18 @@
 using namespace qvliw;
 
 int main() {
+  // QVLIW_LOOPS must be a positive integer, checked as strictly as the
+  // benches check it (bench/bench_common.h parse_int).
   int loops = 1258;
   if (const char* env = std::getenv("QVLIW_LOOPS")) {
-    if (const int n = std::atoi(env); n > 0) loops = n;
+    errno = 0;
+    char* end = nullptr;
+    const long n = std::strtol(env, &end, 10);
+    if (end == env || *end != '\0' || errno == ERANGE || n <= 0 || n > INT_MAX) {
+      std::cerr << "QVLIW_LOOPS=\"" << env << "\" is not a positive integer\n";
+      return 2;
+    }
+    loops = static_cast<int>(n);
   }
   SynthConfig config;
   config.loops = loops;

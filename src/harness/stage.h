@@ -36,9 +36,9 @@ namespace qvliw {
 /// pure functions of the artifact bundle, so each unique
 /// (loop, machine, schedule) — plus the verify flags — is computed once per
 /// task; repeats (e.g. budget-ladder points that accept the same schedule)
-/// replay the memoized outcome.  The probe/hit counters fold into
-/// SweepCacheStats before the task commits to the journal, keeping
-/// checkpoint-replay accounting identical to live execution.
+/// replay the memoized outcome.  The probe/hit counters fold into the
+/// task's SweepCacheStats slot, which the sweep runner sums in loop order
+/// once every task has finished.
 struct TaskMemo {
   struct VerifyOutcome {
     int violations = 0;

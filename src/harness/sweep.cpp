@@ -7,8 +7,6 @@
 #include <memory>
 #include <utility>
 
-#include "harness/checkpoint.h"
-#include "harness/shard.h"
 #include "harness/stage.h"
 #include "sched/mii.h"
 #include "support/artifact_store.h"
@@ -47,13 +45,6 @@ SweepCacheStats& SweepCacheStats::operator+=(const SweepCacheStats& other) {
   sched_memo_probes += other.sched_memo_probes;
   sched_memo_hits += other.sched_memo_hits;
   fallback_runs += other.fallback_runs;
-  return *this;
-}
-
-CheckpointStats& CheckpointStats::operator+=(const CheckpointStats& other) {
-  tasks_replayed += other.tasks_replayed;
-  tasks_executed += other.tasks_executed;
-  journal_bytes += other.journal_bytes;
   return *this;
 }
 
@@ -478,39 +469,6 @@ std::vector<StageTotal> ordered_stage_totals(std::map<std::string, double, std::
   return out;
 }
 
-bool shard_owns(ShardAxis axis, int shard_count, int shard_index, std::size_t loop_index,
-                std::size_t point_index) {
-  check(shard_count >= 1, "shard_owns: shard_count must be >= 1");
-  check(shard_index >= 0 && shard_index < shard_count, "shard_owns: shard_index out of range");
-  const std::size_t owner = axis == ShardAxis::kLoops
-                                ? loop_index % static_cast<std::size_t>(shard_count)
-                                : point_index % static_cast<std::size_t>(shard_count);
-  return owner == static_cast<std::size_t>(shard_index);
-}
-
-std::string_view shard_axis_name(ShardAxis axis) {
-  return axis == ShardAxis::kLoops ? "loops" : "points";
-}
-
-std::vector<SweepTask> sweep_tasks(const SweepOptions& options, std::size_t loops,
-                                   std::size_t points) {
-  check(options.shard_count >= 1, "sweep_tasks: shard_count must be >= 1");
-  check(options.shard_index >= 0 && options.shard_index < options.shard_count,
-        "sweep_tasks: shard_index out of range");
-  std::vector<SweepTask> tasks;
-  for (std::size_t i = 0; i < loops; ++i) {
-    SweepTask task;
-    task.loop_index = i;
-    for (std::size_t p = 0; p < points; ++p) {
-      if (shard_owns(options.shard_axis, options.shard_count, options.shard_index, i, p)) {
-        task.point_indices.push_back(p);
-      }
-    }
-    if (!task.point_indices.empty()) tasks.push_back(std::move(task));
-  }
-  return tasks;
-}
-
 int resolved_sweep_workers(const SweepOptions& options) {
   if (options.pool != nullptr) return static_cast<int>(options.pool->workers());
   if (options.workers > 0) return options.workers;
@@ -523,20 +481,9 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
                              const std::vector<SweepPoint>& points) const {
   const Clock::time_point sweep_start = Clock::now();
 
-  check(options_.shard_count >= 1, "SweepRunner: shard_count must be >= 1");
-  check(options_.shard_index >= 0 && options_.shard_index < options_.shard_count,
-        "SweepRunner: shard_index out of range");
-
   SweepResult sweep;
   sweep.by_point.assign(points.size(), std::vector<LoopResult>(loops.size()));
-
-  // The explicit work queue: one task per loop with owned cells under the
-  // shard partition (every loop with all points when unsharded).  Cells no
-  // task owns stay default LoopResults for merge_sweep_shards to fill
-  // from their owner.
-  const std::vector<SweepTask> tasks = sweep_tasks(options_, loops.size(), points.size());
-  sweep.pipelines = 0;
-  for (const SweepTask& task : tasks) sweep.pipelines += task.point_indices.size();
+  sweep.pipelines = loops.size() * points.size();
 
   std::vector<SweepPrefixKeys> keys(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) keys[p] = sweep_prefix_keys(points[p]);
@@ -548,74 +495,9 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
   // (ArtifactStore::stats) can report a shared directory's version mix.
   if (persist) disk_store.mark_version(kStoreFormatVersion);
 
-  // Merged on the committer thread (workers > 1) or inline (serial) —
-  // never touched by two threads at once.
-  FrontSeconds front_seconds{};
-
-  // Checkpoint ledger: open (or resume) this runner's journal, replay the
-  // tasks it already holds, and queue only the remainder.
-  std::unique_ptr<TaskJournal> journal;
-  std::vector<const SweepTask*> pending;
-  pending.reserve(tasks.size());
-  if (!options_.checkpoint_dir.empty()) {
-    JournalHeader header;
-    header.config_hash = sweep_config_hash(loops, points);
-    // Verification strictness changes what a cell can report (strict
-    // fails loops on violations), so a resumed sweep must verify exactly
-    // as the crashed one did; journals written with verify off keep
-    // their pre-verifier hashes.
-    if (options_.verify_mode != SweepVerifyMode::kOff) {
-      header.config_hash = hash_combine(header.config_hash, hash64(0x7e81f7ULL));
-      header.config_hash = hash_combine(
-          header.config_hash, hash64(static_cast<std::uint64_t>(options_.verify_mode)));
-      if (options_.verify_mode == SweepVerifyMode::kSample) {
-        header.config_hash = hash_combine(
-            header.config_hash, hash64(static_cast<std::uint64_t>(options_.verify_sample_rate)));
-      }
-    }
-    header.shard_count = options_.shard_count;
-    header.shard_index = options_.shard_index;
-    header.axis = options_.shard_axis;
-    header.loops = loops.size();
-    header.points = points.size();
-    journal = std::make_unique<TaskJournal>(
-        checkpoint_journal_path(options_.checkpoint_dir, header), header);
-  }
-  for (const SweepTask& task : tasks) {
-    bool replayed = false;
-    if (journal != nullptr) {
-      if (auto it = journal->completed().find(task.loop_index);
-          it != journal->completed().end()) {
-        try {
-          TaskPayload payload = decode_task_payload(it->second);
-          QVLIW_ASSERT(payload.loop_index == task.loop_index,
-                       "journal payload filed under the wrong task id");
-          for (const auto& [p, result] : payload.cells) {
-            check(p < points.size(), "journal payload: point index out of range");
-          }
-          for (auto& [p, result] : payload.cells) {
-            sweep.by_point[p][task.loop_index] = std::move(result);
-          }
-          sweep.cache += payload.stats;
-          for (std::size_t k = 0; k < front_seconds.size(); ++k) {
-            front_seconds[k] += payload.front_seconds[k];
-          }
-          ++sweep.checkpoint.tasks_replayed;
-          replayed = true;
-        } catch (const Error&) {
-          // The record checksum makes this near-impossible, but a payload
-          // that fails to decode is simply re-executed; the fresh record
-          // appended below supersedes it on the next replay.
-        }
-      }
-    }
-    if (!replayed) pending.push_back(&task);
-  }
-
   // Effective per-cell verify policy: the sweep mode can only strengthen
   // what the point itself asked for.  The kSample subset hashes the cell
-  // coordinates, so it is identical at every worker count, shard
-  // partition, and resume.
+  // coordinates, so it is identical at every worker count.
   auto verify_policy_for = [&](std::size_t loop_index, std::size_t point_index,
                                VerifyPolicy base) -> VerifyPolicy {
     switch (options_.verify_mode) {
@@ -636,20 +518,26 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
     return base;
   };
 
-  // Executes one task and returns its commit record.  Runs on any worker
+  // Each task's accounting, in its own slot: written only by the worker
+  // running that task, read only after the pool drains.
+  struct TaskTally {
+    SweepCacheStats stats;
+    FrontSeconds seconds{};
+  };
+  std::vector<TaskTally> tallies(loops.size());
+
+  // Executes task i: loop i across every point.  Runs on any worker
   // thread: everything it touches is either task-local (LoopCache,
-  // TaskMemo, stats, seconds), read-only sweep state (keys, the store's
-  // striped index), or this task's own by_point cells — disjoint from
-  // every other task's.
-  auto execute_task = [&](const SweepTask& task) -> TaskCommit {
-    const std::size_t i = task.loop_index;
+  // TaskMemo, its tally), read-only sweep state (keys, the store's
+  // striped index), or loop i's own by_point cells — disjoint from every
+  // other task's.
+  auto execute_task = [&](std::size_t i) {
     LoopCache cache;
     TaskMemo memo;  // back-end artifact memo: one verify/alloc per unique bundle
-    SweepCacheStats local_stats;
-    FrontSeconds local_seconds{};
+    TaskTally& tally = tallies[i];
     const std::uint64_t loop_hash = loops[i].content_hash();
 
-    for (const std::size_t p : task.point_indices) {
+    for (std::size_t p = 0; p < points.size(); ++p) {
       const SweepPoint& point = points[p];
       // The override copy must outlive the PipelineContext referencing it.
       const VerifyPolicy cell_policy = verify_policy_for(i, p, point.options.verify);
@@ -666,7 +554,7 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
         try {
           const std::uint64_t disk_key = persist ? store_key(loop_hash, keys[p].front) : 0;
           FrontEntry& front = front_for(loops[i], point, keys[p], cache, store, disk_key,
-                                        local_stats, local_seconds);
+                                        tally.stats, tally.seconds);
           if (front.ok) {
             PipelineContext ctx(loops[i], point.machine, *cell_options);
             ctx.memo = &memo;
@@ -676,7 +564,7 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
             ctx.result.copies = front.copies;
             if (keys[p].consumes_cached_mii) {
               ctx.known_mii =
-                  mii_for(front, point, keys[p], store, loop_hash, local_stats, local_seconds);
+                  mii_for(front, point, keys[p], store, loop_hash, tally.stats, tally.seconds);
             }
             // MII-optimality short-circuit: a sibling budget-ladder point
             // of this task already proved an II == MII schedule for the
@@ -723,93 +611,44 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
         } catch (const Error&) {
           // Fall through to the uncached path for exact failure parity.
         }
-        if (!produced) ++local_stats.fallback_runs;
+        if (!produced) ++tally.stats.fallback_runs;
       }
       if (!produced) out = run_pipeline(loops[i], point.machine, *cell_options);
       sweep.by_point[p][i] = std::move(out);
     }
 
-    // Fold the memo counters into the task's stats *before* the journal
-    // payload is built, so checkpoint replay restores identical accounting.
-    local_stats.verify_memo_probes += memo.verify_probes;
-    local_stats.verify_memo_hits += memo.verify_hits;
-    local_stats.alloc_memo_probes += memo.alloc_probes;
-    local_stats.alloc_memo_hits += memo.alloc_hits;
-    local_stats.sched_memo_probes += memo.sched_probes;
-    local_stats.sched_memo_hits += memo.sched_hits;
-
-    TaskCommit commit;
-    commit.task_id = i;
-    commit.stats = local_stats;
-    commit.front_seconds = local_seconds;
-    if (journal != nullptr) {
-      // The journal record: this task's cells plus the accounting deltas,
-      // so a replay restores both exactly.
-      TaskPayload payload;
-      payload.loop_index = i;
-      payload.cells.reserve(task.point_indices.size());
-      for (const std::size_t p : task.point_indices) {
-        payload.cells.emplace_back(p, sweep.by_point[p][i]);
-      }
-      payload.stats = local_stats;
-      payload.front_seconds = local_seconds;
-      commit.payload = encode_task_payload(payload);
-    }
-    return commit;
+    tally.stats.verify_memo_probes += memo.verify_probes;
+    tally.stats.verify_memo_hits += memo.verify_hits;
+    tally.stats.alloc_memo_probes += memo.alloc_probes;
+    tally.stats.alloc_memo_hits += memo.alloc_hits;
+    tally.stats.sched_memo_probes += memo.sched_probes;
+    tally.stats.sched_memo_hits += memo.sched_hits;
   };
 
-  // Merges one commit into the sweep.  Single-threaded by construction:
-  // the committer thread is its only caller in the threaded path, the
-  // executing thread in the serial one.
-  auto apply_commit = [&](const TaskCommit& commit) {
-    sweep.cache += commit.stats;
-    for (std::size_t k = 0; k < front_seconds.size(); ++k) {
-      front_seconds[k] += commit.front_seconds[k];
-    }
-    if (journal != nullptr) {
-      ++sweep.checkpoint.tasks_executed;
-      if (options_.on_task_committed) options_.on_task_committed(sweep.checkpoint.tasks_executed);
-    }
-  };
-
-  const int workers = resolved_sweep_workers(options_);
-  if (!pending.empty()) {
-    if (workers <= 1) {
-      // Serial: execute, append, merge inline — a hook exception aborts
-      // between tasks with exactly the committed prefix journaled.
-      for (const SweepTask* task : pending) {
-        TaskCommit commit = execute_task(*task);
-        if (journal != nullptr) journal->append_task(commit.task_id, commit.payload);
-        apply_commit(commit);
-      }
+  ThreadPool* pool = options_.pool;
+  std::unique_ptr<ThreadPool> private_pool;
+  if (pool == nullptr) {
+    if (options_.workers > 0) {
+      // An explicit count means exactly that many threads, even above the
+      // core count — determinism tests depend on it.  ThreadPool(1)
+      // spawns nothing and runs every task on this thread.
+      private_pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(options_.workers));
+      pool = private_pool.get();
     } else {
-      // Threaded: workers execute tasks and submit commits; the committer
-      // thread serialises journal appends + merges.  Channel capacity
-      // 2x workers bounds the completed-but-uncommitted backlog while
-      // keeping the journal fed.
-      TaskCommitter committer(
-          journal.get(), static_cast<std::size_t>(workers) * 2,
-          [&](const TaskCommit& commit, std::uint64_t) { apply_commit(commit); });
-      ThreadPool* pool = options_.pool;
-      std::unique_ptr<ThreadPool> private_pool;
-      if (pool == nullptr) {
-        if (options_.workers > 0) {
-          // An explicit count means exactly that many threads, even
-          // above the core count — determinism tests depend on it.
-          private_pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(workers));
-          pool = private_pool.get();
-        } else {
-          pool = &ThreadPool::shared();
-        }
-      }
-      // Grain 1: tasks are whole loops (many pipeline runs each), so
-      // per-claim overhead is noise and load balancing wins.
-      parallel_for_on(*pool, pending.size(), 1,
-                      [&](std::size_t t) { committer.submit(execute_task(*pending[t])); });
-      committer.finish();  // rethrows the first journal/hook error
+      pool = &ThreadPool::shared();
     }
   }
-  if (journal != nullptr) sweep.checkpoint.journal_bytes = journal->bytes();
+  // Grain 1: tasks are whole loops (many pipeline runs each), so per-claim
+  // overhead is noise and load balancing wins.
+  parallel_for_on(*pool, loops.size(), 1, execute_task);
+
+  // Fold the tallies in loop order, so the accounting (and the float sums
+  // of front-end seconds) do not depend on which worker finished first.
+  FrontSeconds front_seconds{};
+  for (const TaskTally& tally : tallies) {
+    sweep.cache += tally.stats;
+    for (std::size_t k = 0; k < front_seconds.size(); ++k) front_seconds[k] += tally.seconds[k];
+  }
 
   // Aggregate per-stage wall time: per-run stage_times plus the front-end
   // work the cache performed outside any single run.

@@ -12,12 +12,11 @@
 //
 // Caching is per loop and lives on the worker that owns the loop, so it
 // needs no locks; results are bit-identical with the cache on or off (a
-// golden-equivalence test enforces this).  With SweepOptions::workers
-// tasks run on a thread pool (support/parallel.h) and every completed
-// task is handed to a single committer thread (harness/checkpoint.h
-// TaskCommitter) that owns journal appends, accounting merges, and the
-// on_task_committed hook — results and cache accounting stay
-// sweep_result_fingerprint-identical at every worker count.
+// golden-equivalence test enforces this).  One task per loop runs on a
+// thread pool (support/parallel.h; SweepOptions::workers).  Each task
+// writes only its own loop's cells and returns its accounting in its own
+// slot; once the pool drains the runner folds the slots in loop order, so
+// results and cache accounting are identical at every worker count.
 //
 // Budget ladders (the same loop, machine and heuristic at rising IMS
 // budgets) share one seeding path: the task-local MII-optimality memo
@@ -29,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -107,19 +105,6 @@ struct SweepCacheStats {
   SweepCacheStats& operator+=(const SweepCacheStats& other);
 };
 
-/// Checkpoint-ledger accounting of one run (see
-/// SweepOptions::checkpoint_dir; all zero when checkpointing is off).
-/// Like stage times, this is provenance — how the results were obtained —
-/// and is excluded from sweep_result_fingerprint; merge_sweep_shards sums
-/// it across shards.
-struct CheckpointStats {
-  std::uint64_t tasks_replayed = 0;  // completed tasks restored from the journal
-  std::uint64_t tasks_executed = 0;  // tasks run (and journaled) by this process
-  std::uint64_t journal_bytes = 0;   // journal size after the run; 0 without one
-
-  CheckpointStats& operator+=(const CheckpointStats& other);
-};
-
 /// Wall time summed over every pipeline run of the sweep, per stage.
 /// Front-end stages computed once per cache miss are charged once; "mii"
 /// appears as its own entry when the runner pre-computes bounds for the
@@ -131,27 +116,10 @@ struct StageTotal {
 
 /// Canonical ordering of aggregated per-stage seconds: the pipeline
 /// stages in execution order first, any other stage alphabetically
-/// after.  Shared by the sweep runner and the shard merger so merged and
-/// single-process results order stage_totals identically.
+/// after.  Shared by the sweep runner and the benchmark's single-caller
+/// pass, so both order stage_totals identically.
 [[nodiscard]] std::vector<StageTotal> ordered_stage_totals(
     std::map<std::string, double, std::less<>> totals);
-
-/// Which axis of the (loop x point) cross product a sharded sweep
-/// partitions (see SweepOptions::shard_count).
-enum class ShardAxis {
-  /// Round-robin over loops: shard s owns every point of loop i iff
-  /// i % shard_count == s.  The default — per-loop caches and the
-  /// budget-ladder memo live entirely inside one shard, so a merged
-  /// sharded sweep is bit-identical to the single-process sweep
-  /// *including* cache and memo provenance.
-  kLoops,
-  /// Round-robin over points: shard s owns point p of every loop iff
-  /// p % shard_count == s.  Results are still bit-identical (sharding
-  /// never changes outcomes), but points of one budget ladder may land in
-  /// different shards, so sched-memo hit counts can be lower than the
-  /// single-process run's.
-  kPoints,
-};
 
 /// Sweep-level translation validation (see PipelineOptions::verify).
 /// Applied on top of each point's own verify policy — a mode can only
@@ -168,37 +136,21 @@ enum class SweepVerifyMode : std::uint8_t {
 struct SweepOptions {
   bool use_cache = true;  // prefix-artifact caching across points
 
-  /// Worker threads executing SweepTasks inside this process.  0 = auto
-  /// (one per hardware thread, on the shared pool); 1 = serial; N > 1 =
-  /// exactly N threads on a private pool, even when the machine has fewer
-  /// cores (how tests exercise real concurrency on small runners).
-  /// Composes with process sharding: P `sweep_shard run` processes of W
-  /// threads each should keep P*W near the core count.
+  /// Worker threads executing the sweep's tasks.  0 = auto (one per
+  /// hardware thread, on the shared pool); 1 = serial; N > 1 = exactly N
+  /// threads on a private pool, even when the machine has fewer cores
+  /// (how tests exercise real concurrency on small runners).
   ///
-  /// Determinism: a task (one loop, its owned points) is the unit of
+  /// Determinism: a task (one loop, every point) is the unit of
   /// scheduling, and everything order-sensitive — per-loop caches, the
   /// budget-ladder memo — lives inside one task, so results are
-  /// sweep_result_fingerprint-identical at every worker count.  The
-  /// worker count is deliberately *not* part of sweep_config_hash: a
-  /// checkpointed sweep may resume under a different count.
+  /// sweep_result_fingerprint-identical at every worker count.
   int workers = 0;
 
   /// Optional externally-owned pool to run tasks on (its size then wins
   /// over `workers`).  Null = pick per `workers` above.  The pool must
   /// outlive run().
   ThreadPool* pool = nullptr;
-
-  /// Process-sharded execution: this runner computes only the cells of
-  /// the (loop x point) cross product that `shard_index` owns under the
-  /// deterministic `shard_axis` partition; every other cell of
-  /// SweepResult::by_point is left default-constructed.  All shards of
-  /// one sweep share `store_dir` (the artifact store is the persistence
-  /// seam between processes), and merge_sweep_shards (harness/shard.h)
-  /// stitches the emitted shards back into the single-process result.
-  /// shard_count == 1 is the unsharded sweep, byte-for-byte.
-  int shard_count = 1;
-  int shard_index = 0;
-  ShardAxis shard_axis = ShardAxis::kLoops;
 
   /// Root directory of the persistent content-addressed artifact store
   /// (support/artifact_store.h); empty disables persistence.  Keyed by
@@ -209,37 +161,11 @@ struct SweepOptions {
   /// signature).  Requires use_cache.
   std::string store_dir;
 
-  /// Directory of the checkpoint ledger (harness/checkpoint.h); empty
-  /// disables checkpointing.  Every completed SweepTask appends its
-  /// LoopResults and accounting deltas to an append-only task journal
-  /// keyed by the sweep's config hash and this runner's shard identity
-  /// (shards sharing one checkpoint_dir never collide).  On a restart,
-  /// completed tasks replay from the journal and only unfinished tasks
-  /// execute — bit-identical to an uninterrupted run per
-  /// sweep_result_fingerprint, with identical cache accounting.
-  std::string checkpoint_dir;
-
-  /// Instrumentation/test hook: invoked right after each executed task
-  /// commits to the journal (never for replays; only fires when
-  /// checkpoint_dir is set), with the number of tasks this run has
-  /// committed so far.  Threading contract: with workers <= 1 it runs
-  /// inline on the executing thread, right after the journal append; with
-  /// workers > 1 it runs on the *committer thread* only (never on a task
-  /// worker, never concurrently with itself), serialised with — and
-  /// ordered identically to — the journal appends.  Keep it cheap: it
-  /// stalls the commit pipeline, not the workers.  An exception aborts
-  /// the sweep (serial: immediately; threaded: no further tasks commit,
-  /// and run() rethrows once in-flight tasks drain).  The SIGKILL-resume
-  /// tests are the intended users.
-  std::function<void(std::uint64_t committed)> on_task_committed;
-
   /// Sweep-level translation validation.  kSample audits a deterministic
   /// 1-in-verify_sample_rate subset of cells, chosen by hashing (loop
   /// index, point index) so the sample is identical at every worker
-  /// count, shard partition, and resume — verification never perturbs
-  /// determinism contracts.  kFull/kStrict cover every cell.  The mode is
-  /// folded into the checkpoint journal's config hash: a resumed sweep
-  /// must re-verify (or not) exactly as the crashed one did.
+  /// count — verification never perturbs determinism contracts.
+  /// kFull/kStrict cover every cell.
   SweepVerifyMode verify_mode = SweepVerifyMode::kOff;
   int verify_sample_rate = 16;  // kSample: 1 cell in N is audited
 };
@@ -281,38 +207,10 @@ struct SweepPrefixKeys {
 
 [[nodiscard]] SweepPrefixKeys sweep_prefix_keys(const SweepPoint& point);
 
-/// The deterministic shard partition: whether shard `shard_index` of
-/// `shard_count` owns cell (loop_index, point_index) under `axis`.  Every
-/// cell is owned by exactly one shard (a test enforces this); the sweep
-/// runner and the shard merger share this one definition.
-[[nodiscard]] bool shard_owns(ShardAxis axis, int shard_count, int shard_index,
-                              std::size_t loop_index, std::size_t point_index);
-
-/// "loops" / "points" (used by shard files and CLI flags).
-[[nodiscard]] std::string_view shard_axis_name(ShardAxis axis);
-
-/// One unit of the sweep's work queue: a loop plus the point indices this
-/// runner owns for it under the shard partition.  The loop index is the
-/// task id — stable across restarts because the checkpoint journal's
-/// config hash pins the exact (loops, points) inputs.  A task matches the
-/// runner's per-loop execution granularity: the per-loop artifact cache
-/// and every budget-ladder memo live entirely inside one task, so a task
-/// is also the natural unit of checkpoint replay.
-struct SweepTask {
-  std::size_t loop_index = 0;
-  std::vector<std::size_t> point_indices;  // owned, ascending point order
-};
-
-/// The work queue of one runner: a task per loop with at least one owned
-/// cell, in ascending loop order.  Shared by SweepRunner::run and tests.
-[[nodiscard]] std::vector<SweepTask> sweep_tasks(const SweepOptions& options, std::size_t loops,
-                                                 std::size_t points);
-
 struct SweepResult {
   /// results[point][loop], index-aligned with the inputs.
   std::vector<std::vector<LoopResult>> by_point;
   SweepCacheStats cache;
-  CheckpointStats checkpoint;
   std::vector<StageTotal> stage_totals;
   double wall_seconds = 0.0;
   std::uint64_t pipelines = 0;  // loops x points executed

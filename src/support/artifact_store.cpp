@@ -29,8 +29,8 @@ std::string hex16(std::uint64_t v) {
 
 /// Counter making temp names unique across worker threads of this
 /// process; the pid folded into the name alongside it keeps them unique
-/// across *processes* too — sharded sweeps point several writers at one
-/// store directory, and a temp-name collision would interleave two
+/// across *processes* too — concurrent bench or sweep processes may share
+/// one store directory, and a temp-name collision would interleave two
 /// writers' bytes before the rename.  (A multi-process stress test in
 /// tests/test_support.cpp forks concurrent writers at one key.)
 std::atomic<std::uint64_t> temp_counter{0};

@@ -145,11 +145,6 @@ class BlobReader {
   /// True when every byte has been consumed.
   [[nodiscard]] bool exhausted() const { return cursor_ == bytes_.size(); }
 
-  /// Bytes consumed so far (the offset of the next read).  Record-framed
-  /// readers (the checkpoint journal) use this to remember the last
-  /// intact record boundary when a torn tail cuts a decode short.
-  [[nodiscard]] std::size_t cursor() const { return cursor_; }
-
   /// Throws Error("<what>: trailing bytes") unless exhausted.  Every
   /// top-level decoder of a store entry must end with this: a blob that
   /// decodes cleanly but has bytes left over is a *different* (longer,

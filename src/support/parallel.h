@@ -21,7 +21,8 @@
 // fan-out on a thread-less pool degrades to the caller draining every
 // chunk itself — serial, but correct and deadlock-free.  Code that forks
 // must still not run a fan-out in the parent concurrently with fork():
-// fork only from a single-threaded point, as the SIGKILL-resume tests do.
+// fork only from a single-threaded point, as the fork tests in
+// tests/test_support.cpp do.
 //
 // `parallel_for_rng` supplies the body with a private RNG stream per
 // chunk, seeded from (seed, chunk start) with a grain that depends only on
@@ -32,7 +33,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -176,65 +176,5 @@ void parallel_for_rng(std::size_t count, std::uint64_t seed, Body&& body) {
       },
       &bound);
 }
-
-/// A bounded multi-producer single-consumer (MPSC-by-convention, MPMC-safe)
-/// blocking channel: the conveyor between sweep workers and the checkpoint
-/// committer thread (harness/checkpoint.h).  push() blocks while the
-/// channel is full — back-pressure, so an unbounded backlog of completed
-/// tasks can never pile up faster than the journal flushes; pop() blocks
-/// while empty and returns false only when the channel is closed *and*
-/// drained, so no accepted item is ever dropped.
-template <typename T>
-class BoundedChannel {
- public:
-  explicit BoundedChannel(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  BoundedChannel(const BoundedChannel&) = delete;
-  BoundedChannel& operator=(const BoundedChannel&) = delete;
-
-  /// Blocks until there is room (or the channel closes); false = closed,
-  /// the item was not accepted.
-  bool push(T value) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    can_push_.wait(lock, [&] { return closed_ || items_.size() < capacity_; });
-    if (closed_) return false;
-    items_.push_back(std::move(value));
-    can_pop_.notify_one();
-    return true;
-  }
-
-  /// Blocks until an item arrives (or the channel closes); false = closed
-  /// and fully drained.
-  bool pop(T& out) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    can_pop_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    can_push_.notify_one();
-    return true;
-  }
-
-  /// Idempotent; wakes every blocked producer and the consumer.  Items
-  /// already accepted stay poppable.
-  void close() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    can_push_.notify_all();
-    can_pop_.notify_all();
-  }
-
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable can_push_;
-  std::condition_variable can_pop_;
-  std::deque<T> items_;
-  std::size_t capacity_;
-  bool closed_ = false;
-};
 
 }  // namespace qvliw

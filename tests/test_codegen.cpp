@@ -6,6 +6,7 @@
 #include "support/diagnostics.h"
 #include "sched/ims.h"
 #include "sim/codegen.h"
+#include "support/strings.h"
 #include "workload/kernels.h"
 #include "xform/copy_insert.h"
 
@@ -157,7 +158,7 @@ TEST(Codegen, ClusteredProgramNamesClusters) {
   const std::string listing = format_program(program, machine);
   bool beyond_cluster0 = false;
   for (int c = 1; c < 4; ++c) {
-    if (listing.find("c" + std::to_string(c) + ".") != std::string::npos) beyond_cluster0 = true;
+    if (listing.find(cat("c", c, ".")) != std::string::npos) beyond_cluster0 = true;
   }
   EXPECT_TRUE(beyond_cluster0);
 }

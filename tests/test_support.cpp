@@ -415,50 +415,6 @@ TEST(ThreadPool, ForkedChildDegradesToCallerDraining) {
       << "child exited " << status;
 }
 
-// --- bounded channel --------------------------------------------------------
-
-TEST(BoundedChannel, FifoWithinCapacity) {
-  BoundedChannel<int> channel(4);
-  EXPECT_TRUE(channel.push(1));
-  EXPECT_TRUE(channel.push(2));
-  EXPECT_TRUE(channel.push(3));
-  int v = 0;
-  EXPECT_TRUE(channel.pop(v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(channel.pop(v));
-  EXPECT_EQ(v, 2);
-  EXPECT_TRUE(channel.pop(v));
-  EXPECT_EQ(v, 3);
-}
-
-TEST(BoundedChannel, CloseDrainsThenReportsEmpty) {
-  BoundedChannel<int> channel(4);
-  EXPECT_TRUE(channel.push(7));
-  channel.close();
-  EXPECT_FALSE(channel.push(8));  // rejected after close
-  int v = 0;
-  EXPECT_TRUE(channel.pop(v));  // buffered value still drains
-  EXPECT_EQ(v, 7);
-  EXPECT_FALSE(channel.pop(v));  // closed and empty
-}
-
-TEST(BoundedChannel, BackPressuredProducerPreservesOrder) {
-  // Capacity 2 forces the producer to block on a slow consumer; every
-  // value must still arrive exactly once, in order.
-  BoundedChannel<int> channel(2);
-  constexpr int kValues = 500;
-  std::thread producer([&] {
-    for (int i = 0; i < kValues; ++i) ASSERT_TRUE(channel.push(int{i}));
-    channel.close();
-  });
-  std::vector<int> received;
-  int v = 0;
-  while (channel.pop(v)) received.push_back(v);
-  producer.join();
-  ASSERT_EQ(received.size(), static_cast<std::size_t>(kValues));
-  for (int i = 0; i < kValues; ++i) EXPECT_EQ(received[static_cast<std::size_t>(i)], i) << i;
-}
-
 TEST(Rng, HashBytesStableAndSensitive) {
   const std::uint64_t empty = hash_bytes("");
   EXPECT_EQ(empty, hash_bytes(""));  // deterministic
@@ -676,7 +632,7 @@ TEST(ArtifactStore, ConcurrentThreadedLoadsAndSavesAreCoherent) {
   std::filesystem::remove_all(root);
 }
 
-// Sharded sweeps point several *processes* at one store directory, so
+// Several *processes* may share one store directory, so
 // temp-file names must be unique across processes, not just threads —
 // a collision would interleave two writers' bytes before the atomic
 // rename.  Fork real concurrent writer processes hammering the same

@@ -100,6 +100,34 @@ void expect_identical(const LoopResult& a, const LoopResult& b, const std::strin
   }
 }
 
+// Every SweepCacheStats counter.  Each task tallies its own accounting and
+// the runner folds the tallies in loop order once the pool drains, so no
+// counter may depend on the worker count.
+void expect_same_accounting(const SweepCacheStats& a, const SweepCacheStats& b,
+                            const std::string& where) {
+  EXPECT_EQ(a.invariant_probes, b.invariant_probes) << where;
+  EXPECT_EQ(a.invariant_hits, b.invariant_hits) << where;
+  EXPECT_EQ(a.unroll_probes, b.unroll_probes) << where;
+  EXPECT_EQ(a.unroll_hits, b.unroll_hits) << where;
+  EXPECT_EQ(a.front_probes, b.front_probes) << where;
+  EXPECT_EQ(a.front_hits, b.front_hits) << where;
+  EXPECT_EQ(a.mii_probes, b.mii_probes) << where;
+  EXPECT_EQ(a.mii_hits, b.mii_hits) << where;
+  EXPECT_EQ(a.disk_probes, b.disk_probes) << where;
+  EXPECT_EQ(a.disk_hits, b.disk_hits) << where;
+  EXPECT_EQ(a.mii_disk_probes, b.mii_disk_probes) << where;
+  EXPECT_EQ(a.mii_disk_hits, b.mii_disk_hits) << where;
+  EXPECT_EQ(a.probe_factors, b.probe_factors) << where;
+  EXPECT_EQ(a.probe_fallbacks, b.probe_fallbacks) << where;
+  EXPECT_EQ(a.verify_memo_probes, b.verify_memo_probes) << where;
+  EXPECT_EQ(a.verify_memo_hits, b.verify_memo_hits) << where;
+  EXPECT_EQ(a.alloc_memo_probes, b.alloc_memo_probes) << where;
+  EXPECT_EQ(a.alloc_memo_hits, b.alloc_memo_hits) << where;
+  EXPECT_EQ(a.sched_memo_probes, b.sched_memo_probes) << where;
+  EXPECT_EQ(a.sched_memo_hits, b.sched_memo_hits) << where;
+  EXPECT_EQ(a.fallback_runs, b.fallback_runs) << where;
+}
+
 TEST(Sweep, GoldenEquivalenceWithDirectPipeline) {
   const Suite suite = small_suite(8, 7);
   const std::vector<SweepPoint> points = demo_points();
@@ -195,18 +223,19 @@ TEST(Sweep, FingerprintIdenticalAcrossWorkerCounts) {
     EXPECT_EQ(resolved_sweep_workers(options), workers);
     const SweepResult threaded = SweepRunner(options).run(suite.loops, points);
     EXPECT_EQ(sweep_result_fingerprint(threaded), oracle) << workers << " workers";
-    // Per-thread accounting sums to the serial totals: the cache counters
-    // are task-local, so the merge order cannot change them.
-    EXPECT_EQ(threaded.cache.probes(), serial.cache.probes()) << workers << " workers";
-    EXPECT_EQ(threaded.cache.hits(), serial.cache.hits()) << workers << " workers";
+    expect_same_accounting(threaded.cache, serial.cache, cat(workers, " workers"));
     EXPECT_EQ(threaded.pipelines, serial.pipelines) << workers << " workers";
   }
+  EXPECT_GT(serial.cache.hits(), 0u);
+  EXPECT_GT(serial.cache.alloc_memo_probes, 0u);
+  EXPECT_GT(serial.cache.sched_memo_probes, 0u);
 }
 
-// The same contract through the disk store and the budget-ladder memo:
-// each worker count gets its own scratch store (a shared one would let an
-// earlier count warm a later one), runs cold then warm, and both
-// fingerprints must match the serial oracle's.
+// The same contract through the disk store, the budget-ladder memo and
+// full verification: each worker count gets its own scratch store (a
+// shared one would let an earlier count warm a later one), runs cold then
+// warm, and both fingerprints and every accounting counter must match the
+// serial oracle's.
 TEST(Sweep, WarmStoreFingerprintIdenticalAcrossWorkerCounts) {
   const Suite suite = small_suite(6, 43);
   std::vector<SweepPoint> points;
@@ -222,25 +251,73 @@ TEST(Sweep, WarmStoreFingerprintIdenticalAcrossWorkerCounts) {
       std::filesystem::temp_directory_path() / "qvliw_test_workers_store";
   std::filesystem::remove_all(scratch);
 
-  std::string cold_oracle;
-  std::string warm_oracle;
+  SweepResult cold_oracle;
+  SweepResult warm_oracle;
   for (const int workers : {1, 2, 4, 8}) {
     SweepOptions options;
     options.workers = workers;
     options.store_dir = (scratch / cat("w", workers)).string();
-    const SweepResult cold = SweepRunner(options).run(suite.loops, points);
-    const SweepResult warm = SweepRunner(options).run(suite.loops, points);
+    options.verify_mode = SweepVerifyMode::kFull;
+    SweepResult cold = SweepRunner(options).run(suite.loops, points);
+    SweepResult warm = SweepRunner(options).run(suite.loops, points);
     EXPECT_EQ(cold.cache.disk_hits, 0u) << workers << " workers";
     EXPECT_GT(warm.cache.disk_hits, 0u) << workers << " workers";
     if (workers == 1) {
-      cold_oracle = sweep_result_fingerprint(cold);
-      warm_oracle = sweep_result_fingerprint(warm);
-    } else {
-      EXPECT_EQ(sweep_result_fingerprint(cold), cold_oracle) << workers << " workers cold";
-      EXPECT_EQ(sweep_result_fingerprint(warm), warm_oracle) << workers << " workers warm";
+      EXPECT_GT(warm.cache.mii_disk_hits, 0u);
+      EXPECT_GT(cold.cache.verify_memo_probes, 0u);
+      EXPECT_GT(cold.cache.sched_memo_hits, 0u);
+      cold_oracle = std::move(cold);
+      warm_oracle = std::move(warm);
+      continue;
     }
+    EXPECT_EQ(sweep_result_fingerprint(cold), sweep_result_fingerprint(cold_oracle))
+        << workers << " workers cold";
+    EXPECT_EQ(sweep_result_fingerprint(warm), sweep_result_fingerprint(warm_oracle))
+        << workers << " workers warm";
+    expect_same_accounting(cold.cache, cold_oracle.cache, cat(workers, " workers cold"));
+    expect_same_accounting(warm.cache, warm_oracle.cache, cat(workers, " workers warm"));
   }
   std::filesystem::remove_all(scratch);
+}
+
+// Strict-verify perf sweeps off the paper's ring: the three-heuristic x
+// budget {6, 12} ladder on a 3x3 mesh and on a 4-cluster crossbar, over a
+// fixed 120-loop suite at two workers.  Each sweep is run twice; the two
+// fingerprints must agree, some bundles must be verified, and none may
+// violate a machine rule.
+TEST(Sweep, StrictTopologySweepsAreRerunStable) {
+  SynthConfig config;
+  config.loops = 120;
+  const Suite suite = full_suite(config);
+  for (const auto& [kind, clusters] :
+       {std::pair{TopologyKind::kMesh, 9}, std::pair{TopologyKind::kCrossbar, 4}}) {
+    const MachineConfig machine = MachineConfig::topology_machine(kind, clusters);
+    const std::string where = cat(topology_kind_name(kind), "-", clusters);
+    std::vector<SweepPoint> points;
+    for (const ClusterHeuristic heuristic :
+         {ClusterHeuristic::kAffinity, ClusterHeuristic::kLoadBalance,
+          ClusterHeuristic::kFirstFit}) {
+      for (const int budget : {6, 12}) {
+        SweepPoint point{cat(where, "-", cluster_heuristic_name(heuristic), "-", budget, "x"),
+                         machine, {}};
+        point.options.unroll = true;
+        point.options.scheduler = SchedulerKind::kClustered;
+        point.options.heuristic = heuristic;
+        point.options.ims.budget_ratio = budget;
+        points.push_back(point);
+      }
+    }
+
+    SweepOptions options;
+    options.workers = 2;
+    options.verify_mode = SweepVerifyMode::kStrict;
+    const SweepResult first = SweepRunner(options).run(suite.loops, points);
+    const SweepResult second = SweepRunner(options).run(suite.loops, points);
+    EXPECT_EQ(sweep_result_fingerprint(first), sweep_result_fingerprint(second)) << where;
+    EXPECT_GT(first.verify_checked(), 0u) << where;
+    EXPECT_EQ(first.verify_violations(), 0u) << where;
+    EXPECT_EQ(second.verify_violations(), 0u) << where;
+  }
 }
 
 // An explicit pool composes with the workers knob: a caller-owned pool

@@ -418,7 +418,9 @@ TEST(SweepVerify, FullModeChecksEveryCell) {
   const SweepResult sweep = SweepRunner(options).run(loops, points);
   ASSERT_EQ(sweep.by_point.size(), 1u);
   for (const LoopResult& r : sweep.by_point[0]) {
-    if (r.ok) EXPECT_TRUE(r.verify_checked) << r.name;
+    if (r.ok) {
+      EXPECT_TRUE(r.verify_checked) << r.name;
+    }
     EXPECT_EQ(r.verify_violations, 0) << r.name;
   }
   EXPECT_EQ(sweep.verify_violations(), 0u);
