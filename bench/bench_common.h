@@ -18,7 +18,6 @@
 #include "harness/shard.h"
 #include "harness/stage.h"
 #include "harness/sweep.h"
-#include "support/artifact_store.h"
 #include "support/rng.h"
 #include "support/strings.h"
 #include "workload/suite.h"
@@ -168,9 +167,9 @@ inline void print_sweep_footer(std::ostream& os, const SweepResult& sweep) {
 /// One-line artifact-store / sched-memo counter summary (perf_sweep's
 /// footer).
 inline void print_store_counters(std::ostream& os, const SweepResult& sweep) {
-  os << "store: front " << sweep.cache.disk_hits << "/" << sweep.cache.disk_probes << ", mii "
-     << sweep.cache.mii_disk_hits << "/" << sweep.cache.mii_disk_probes << "; sched memo "
-     << sweep.cache.sched_memo_hits << "/" << sweep.cache.sched_memo_probes << "\n";
+  os << "store: front " << sweep.cache.disk_hits << "/" << sweep.cache.disk_probes
+     << "; sched memo " << sweep.cache.sched_memo_hits << "/" << sweep.cache.sched_memo_probes
+     << "\n";
 }
 
 /// Canonical results-only JSON: every semantic LoopResult field, no
@@ -203,31 +202,6 @@ inline void write_results_json(std::ostream& os, const std::vector<SweepPoint>& 
     os << "\n    ]}";
   }
   os << "\n  ]\n}\n";
-}
-
-/// perf_sweep's `--store-stats`: the operator's inventory of a store
-/// directory.
-inline int print_store_stats(std::ostream& os, const std::string& dir) {
-  if (dir.empty()) {
-    os << "--store-stats requires --store DIR\n";
-    return 2;
-  }
-  const ArtifactStoreStats stats = ArtifactStore(dir).stats();
-  os << "store " << dir << ": " << stats.entries << " entries, " << stats.entry_bytes
-     << " bytes across " << stats.fanout_dirs << " fanout dir(s)\n"
-     << "  leftover temp files: " << stats.temp_files << " (" << stats.temp_bytes
-     << " bytes)" << (stats.temp_files > 0 ? " — killed writers; safe to delete" : "") << "\n"
-     << "  format versions seen:";
-  if (stats.versions.empty()) {
-    os << " none recorded";
-  } else {
-    for (const std::uint64_t v : stats.versions) os << " v" << v;
-    if (stats.versions.size() > 1) {
-      os << "  (mixed: entries keyed under retired versions are never read again)";
-    }
-  }
-  os << "\n";
-  return 0;
 }
 
 }  // namespace qvliw::bench

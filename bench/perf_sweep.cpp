@@ -8,9 +8,8 @@
 //
 //   perf_sweep --out FILE.json [--store DIR] [--workers M]
 //              [--topology ring|mesh|crossbar] [--clusters N] [--verify]
-//   perf_sweep --store-stats --store DIR   # inspect a store directory
 //
-// `--store DIR` persists front-end artifacts and MII maps across runs;
+// `--store DIR` persists front-end artifacts across runs;
 // `--workers M` runs the sweep on M threads (0 or absent: one per hardware
 // thread); `--topology`/`--clusters` (defaults: ring, 4) select the swept
 // machine; `--verify` runs strict translation validation on every cell.
@@ -33,14 +32,11 @@ struct Args {
   int workers = 0;  // 0 = one thread per hardware thread
   bench::TopologyChoice topology;
   bool verify = false;  // strict translation validation on every pipeline
-  bool store_stats = false;
 };
 
 int usage() {
-  std::cerr << "usage:\n"
-            << "  perf_sweep --out FILE.json [--store DIR] [--workers M]"
-            << " [--topology ring|mesh|crossbar] [--clusters N] [--verify]\n"
-            << "  perf_sweep --store-stats --store DIR   # inspect a store directory\n";
+  std::cerr << "usage: perf_sweep --out FILE.json [--store DIR] [--workers M]"
+            << " [--topology ring|mesh|crossbar] [--clusters N] [--verify]\n";
   return 2;
 }
 
@@ -64,13 +60,11 @@ bool parse_args(int argc, char** argv, Args& args) {
       if (!args.topology.parse_flag(argc, argv, a)) return false;
     } else if (flag == "--verify") {
       args.verify = true;
-    } else if (flag == "--store-stats") {
-      args.store_stats = true;
     } else {
       return false;
     }
   }
-  return args.store_stats || !args.out.empty();
+  return !args.out.empty();
 }
 
 int sweep(const Args& args) {
@@ -104,7 +98,6 @@ int run(int argc, char** argv) {
   Args args;
   if (!parse_args(argc, argv, args)) return usage();
   try {
-    if (args.store_stats) return bench::print_store_stats(std::cout, args.store);
     return sweep(args);
   } catch (const Error& e) {
     std::cerr << "perf_sweep: " << e.what() << "\n";

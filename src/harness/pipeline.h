@@ -48,11 +48,6 @@ struct PipelineOptions {
 
   SchedulerKind scheduler = SchedulerKind::kSingleCluster;
 
-  /// Registry name of the scheduler backend (sched/backend.h); empty
-  /// selects the built-in backend of `scheduler`.  Unknown names fail the
-  /// schedule stage with a diagnostic listing the registered backends.
-  std::string backend;
-
   ClusterHeuristic heuristic = ClusterHeuristic::kAffinity;
   ImsOptions ims;
 
@@ -131,8 +126,8 @@ struct LoopResult {
 
   ImsStats sched_stats;
 
-  /// Registry name of the backend that scheduled this loop (empty when
-  /// the run failed before the schedule stage).
+  /// scheduler_kind_name of the scheduler that ran on this loop (empty
+  /// when the run failed before the schedule stage).
   std::string backend;
 
   /// True when the accepted schedule came from a warm-start seed instead

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "cluster/route.h"
 #include "qrf/rf_alloc.h"
 #include "sim/vliwsim.h"
 #include "support/artifact_store.h"
@@ -63,12 +62,7 @@ bool CopyInsertStage::run(PipelineContext& ctx) {
 }
 
 ImsResult schedule_attempt(PipelineContext& ctx, int start_ii) {
-  // Unknown backend names throw Error here; run_stages converts that into
-  // the canonical "pipeline error: ..." failure with the registry's
-  // known-names diagnostic.
-  const SchedulerBackend& backend =
-      ctx.options->backend.empty() ? scheduler_backend(ctx.options->scheduler)
-                                   : SchedulerRegistry::instance().require(ctx.options->backend);
+  const SchedulerKind kind = ctx.options->scheduler;
 
   ScheduleRequest request;
   request.loop = &ctx.loop;
@@ -76,12 +70,14 @@ ImsResult schedule_attempt(PipelineContext& ctx, int start_ii) {
   request.machine = ctx.machine;
   request.ims = ctx.options->ims;
   request.ims.start_ii = std::max(request.ims.start_ii, start_ii);
-  if (backend.consumes_cached_mii()) request.ims.known_mii = ctx.known_mii;
   request.heuristic = ctx.options->heuristic;
-  if (backend.supports_warm_start()) request.seed = ctx.seed;
+  if (!scheduler_rewrites_loop(kind)) {
+    request.ims.known_mii = ctx.known_mii;
+    request.seed = ctx.seed;
+  }
 
-  ScheduleOutcome outcome = backend.schedule(request);
-  ctx.result.backend = backend.name();
+  ScheduleOutcome outcome = schedule(kind, request);
+  ctx.result.backend = scheduler_kind_name(kind);
   if (outcome.rewrote) {
     ctx.result.moves = outcome.moves_added;
     ctx.loop = std::move(outcome.rewritten_loop);

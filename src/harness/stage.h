@@ -46,7 +46,7 @@ struct TaskMemo {
   };
   /// A schedule a sibling budget-ladder point accepted at II == MII,
   /// keyed by (loop content hash, front prefix, machine signature,
-  /// backend key *excluding* the budget axis).  An MII schedule cannot be
+  /// scheduler key *excluding* the budget axis).  An MII schedule cannot be
   /// beaten, so any same-key point whose budget is at least the
   /// publisher's installs it outright instead of re-searching — the cold
   /// attempt at MII is deterministic and completes within the publisher's
@@ -140,10 +140,9 @@ class CopyInsertStage final : public Stage {
   bool run(PipelineContext& ctx) override;
 };
 
-/// Modulo-schedules ctx.loop through the scheduler-backend registry
-/// (options.backend when set, else the built-in backend of
-/// options.scheduler).  A rewriting backend (clustered-moves inserts
-/// relay ops) replaces ctx.loop/ctx.graph with its rewritten versions.
+/// Modulo-schedules ctx.loop with the scheduler of options.scheduler
+/// (sched/backend.h).  The moves router, which inserts relay ops,
+/// replaces ctx.loop/ctx.graph with its rewritten versions.
 class ScheduleStage final : public Stage {
  public:
   [[nodiscard]] std::string_view name() const override { return kStageSchedule; }

@@ -175,8 +175,8 @@ using FrontSeconds = std::array<double, 4>;
 //
 // A FrontEntry is a pure function of (source loop contents, front prefix
 // key); the prefix key already folds in every machine input the front end
-// consults.  Entries are serialised with the portable blob format; the
-// per-machine MII maps are persisted under their own keys (mii_store_key).
+// consults.  Entries are serialised with the portable blob format and end
+// with a checksum of the bytes before it.
 //
 // Bump the version whenever a warm store could replay entries the current
 // code would not reproduce: blob-layout changes AND any behavioral change
@@ -186,54 +186,20 @@ using FrontSeconds = std::array<double, 4>;
 // read again.  (Loop-serialization layout changes are self-invalidating:
 // Loop::content_hash is derived from the serialized bytes.)
 //
-// The store holds front entries and MII maps only; schedules are never
-// persisted (the task-local MII-optimality memo is the only schedule
-// seeding path), so back-end search changes need no bump.  Stores written
-// by older builds may also hold schedule entries under a key domain that
-// nothing reads any more.
+// The store holds front entries only; MII bounds and schedules are never
+// persisted, so back-end changes need no bump.  Stores written by older
+// builds may also hold entries that nothing reads any more (schedules,
+// MII maps, v2 front entries); deleting the directory reclaims them.
 //
-// v2: decoders uniformly reject trailing bytes (require_exhausted at
-// every decode site); entries written by v1 code are retired wholesale
-// rather than trusting v1's laxer acceptance.
+// v3: a front entry ends with hash_bytes of its payload, so a flipped bit
+// that would still decode to a valid loop is rejected instead of
+// replayed.
 
-constexpr std::uint64_t kStoreFormatVersion = 2;
+constexpr std::uint64_t kStoreFormatVersion = 3;
 
 std::uint64_t store_key(std::uint64_t loop_content_hash, std::uint64_t front_key_value) {
   return hash_combine(hash_combine(hash64(kStoreFormatVersion), loop_content_hash),
                       front_key_value);
-}
-
-// MII bounds are a pure function of (front loop, machine); the front loop
-// is (source loop contents, front prefix key), so the key folds the loop
-// content hash, the front key, and the machine signature, under a salt
-// that keeps the MII key domain disjoint from front-entry keys.
-std::uint64_t mii_store_key(std::uint64_t loop_content_hash, std::uint64_t front_key_value,
-                            std::uint64_t machine_signature) {
-  return hash_combine(hash_combine(hash_combine(hash64(kStoreFormatVersion), hash64(0x4d4949u)),
-                                   hash_combine(loop_content_hash, front_key_value)),
-                      machine_signature);
-}
-
-std::string encode_mii(const MiiInfo& mii) {
-  BlobWriter out;
-  out.put_bool(mii.feasible);
-  out.put_i32(mii.res_mii);
-  out.put_i32(mii.rec_mii);
-  out.put_i32(mii.mii);
-  return out.take();
-}
-
-/// Throws Error on truncation/trailing bytes; the caller treats that as a
-/// store miss and recomputes.
-MiiInfo decode_mii(const std::string& blob) {
-  BlobReader in(blob);
-  MiiInfo mii;
-  mii.feasible = in.get_bool();
-  mii.res_mii = in.get_i32();
-  mii.rec_mii = in.get_i32();
-  mii.mii = in.get_i32();
-  in.require_exhausted("mii blob");
-  return mii;
 }
 
 std::string encode_front_entry(const FrontEntry& entry) {
@@ -250,16 +216,23 @@ std::string encode_front_entry(const FrontEntry& entry) {
     out.put_i32(r.unroll_factor);
     out.put_i32(r.copies);
   }
-  return out.take();
+  std::string blob = out.take();
+  BlobWriter checksum;
+  checksum.put_u64(hash_bytes(blob));
+  return blob + checksum.take();
 }
 
-/// Reconstructs a FrontEntry from `blob`; throws Error on any truncation
-/// or structural problem (the caller treats that as a store miss).  The
-/// DDG is rebuilt from the decoded loop — Ddg::build is deterministic and
-/// validates the loop, so a corrupt blob cannot smuggle in a bad input.
+/// Reconstructs a FrontEntry from `blob`; throws Error on a checksum
+/// mismatch, truncation or any structural problem (the caller treats that
+/// as a store miss).  The DDG is rebuilt from the decoded loop —
+/// Ddg::build is deterministic and validates the loop.
 FrontEntry decode_front_entry(const std::string& blob, const Loop& source,
                               const MachineConfig& machine) {
-  BlobReader in(blob);
+  check(blob.size() >= 8, "front entry blob: truncated checksum");
+  const std::string_view payload = std::string_view(blob).substr(0, blob.size() - 8);
+  BlobReader checksum(std::string_view(blob).substr(payload.size()));
+  check(checksum.get_u64() == hash_bytes(payload), "front entry blob: checksum mismatch");
+  BlobReader in(payload);
   FrontEntry entry;
   entry.ok = in.get_bool();
   if (entry.ok) {
@@ -397,36 +370,15 @@ FrontEntry& front_for(const Loop& source, const SweepPoint& point, const SweepPr
 }
 
 MiiInfo mii_for(FrontEntry& front, const SweepPoint& point, const SweepPrefixKeys& keys,
-                const ArtifactStore* store, std::uint64_t loop_hash, SweepCacheStats& stats,
-                FrontSeconds& seconds) {
+                SweepCacheStats& stats, FrontSeconds& seconds) {
   ++stats.mii_probes;
   if (auto it = front.mii.find(keys.machine); it != front.mii.end()) {
     ++stats.mii_hits;
     return it->second;
   }
-
-  // Second-level cache: the persistent per-machine MII map.
-  const std::uint64_t disk_key =
-      store != nullptr ? mii_store_key(loop_hash, keys.front, keys.machine) : 0;
-  if (store != nullptr) {
-    ++stats.mii_disk_probes;
-    std::string blob;
-    if (store->load(disk_key, blob)) {
-      try {
-        const MiiInfo mii = decode_mii(blob);
-        ++stats.mii_disk_hits;
-        front.mii.emplace(keys.machine, mii);
-        return mii;
-      } catch (const Error&) {
-        // Corrupt or stale entry: recompute (the save below overwrites it).
-      }
-    }
-  }
-
   const Clock::time_point start = Clock::now();
   const MiiInfo mii = compute_mii(front.loop, *front.graph, point.machine);
   seconds[3] += seconds_since(start);
-  if (store != nullptr) store->save(disk_key, encode_mii(mii));
   front.mii.emplace(keys.machine, mii);
   return mii;
 }
@@ -439,18 +391,8 @@ SweepPrefixKeys sweep_prefix_keys(const SweepPoint& point) {
   keys.unroll = unroll_key(keys.invariant, point.options, point.machine);
   keys.front = front_key(keys.unroll, point.options, point.machine);
   keys.machine = point.machine.signature();
-  const SchedulerBackend* backend =
-      find_scheduler_backend(point.options.scheduler, point.options.backend);
-  if (backend != nullptr) {
-    keys.backend = backend->cache_key(point.options.heuristic, point.options.ims);
-    keys.consumes_cached_mii = backend->consumes_cached_mii();
-    keys.supports_warm_start = backend->supports_warm_start();
-  } else {
-    // Unknown backend override: the point fails in the schedule stage;
-    // hash the name so distinct unknown names still occupy distinct slots.
-    keys.backend = hash_combine(hash64(0xbadbac0deull), hash_bytes(point.options.backend));
-    keys.consumes_cached_mii = false;
-  }
+  keys.scheduler =
+      scheduler_cache_key(point.options.scheduler, point.options.heuristic, point.options.ims);
   return keys;
 }
 
@@ -491,9 +433,6 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
   const bool persist = options_.use_cache && !options_.store_dir.empty();
   const ArtifactStore disk_store(options_.store_dir);
   const ArtifactStore* store = persist ? &disk_store : nullptr;
-  // Record the key-domain version this writer uses, so store maintenance
-  // (ArtifactStore::stats) can report a shared directory's version mix.
-  if (persist) disk_store.mark_version(kStoreFormatVersion);
 
   // Effective per-cell verify policy: the sweep mode can only strengthen
   // what the point itself asked for.  The kSample subset hashes the cell
@@ -528,9 +467,8 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
 
   // Executes task i: loop i across every point.  Runs on any worker
   // thread: everything it touches is either task-local (LoopCache,
-  // TaskMemo, its tally), read-only sweep state (keys, the store's
-  // striped index), or loop i's own by_point cells — disjoint from every
-  // other task's.
+  // TaskMemo, its tally), read-only sweep state (keys, the store), or
+  // loop i's own by_point cells — disjoint from every other task's.
   auto execute_task = [&](std::size_t i) {
     LoopCache cache;
     TaskMemo memo;  // back-end artifact memo: one verify/alloc per unique bundle
@@ -562,23 +500,23 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
             ctx.graph = front.graph;
             ctx.result.unroll_factor = front.factor;
             ctx.result.copies = front.copies;
-            if (keys[p].consumes_cached_mii) {
-              ctx.known_mii =
-                  mii_for(front, point, keys[p], store, loop_hash, tally.stats, tally.seconds);
+            const bool rewrites = scheduler_rewrites_loop(point.options.scheduler);
+            if (!rewrites) {
+              ctx.known_mii = mii_for(front, point, keys[p], tally.stats, tally.seconds);
             }
             // MII-optimality short-circuit: a sibling budget-ladder point
             // of this task already proved an II == MII schedule for the
-            // same (loop, front prefix, machine, budget-less backend key).
+            // same (loop, front prefix, machine, budget-less scheduler key).
             // Any point with at least the publisher's budget installs it —
             // the cold search at MII is deterministic and completes within
             // the publisher's budget, so installing is bit-identical to
             // searching.
             const std::uint64_t sched_memo_key =
                 hash_combine(hash_combine(hash64(loop_hash), keys[p].front),
-                             hash_combine(keys[p].machine, keys[p].backend));
+                             hash_combine(keys[p].machine, keys[p].scheduler));
             WarmStartSeed memo_seed;
             bool memo_seeded = false;
-            if (keys[p].supports_warm_start) {
+            if (!rewrites) {
               ++memo.sched_probes;
               if (auto it = memo.sched.find(sched_memo_key);
                   it != memo.sched.end() &&
@@ -594,7 +532,7 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
             // Publish a proven-optimal accepted schedule (II == MII, post
             // queue-fit escalation) for this task's later ladder siblings,
             // keeping the smallest budget that proved it.
-            if (keys[p].supports_warm_start && ctx.sched.ok && ctx.sched.stats.mii_optimal) {
+            if (!rewrites && ctx.sched.ok && ctx.sched.stats.mii_optimal) {
               auto [entry, added] = memo.sched.try_emplace(sched_memo_key);
               if (added || point.options.ims.budget_ratio < entry->second.budget_ratio) {
                 entry->second.schedule = ctx.sched.schedule;
@@ -609,7 +547,9 @@ SweepResult SweepRunner::run(const std::vector<Loop>& loops,
           }
           produced = true;
         } catch (const Error&) {
-          // Fall through to the uncached path for exact failure parity.
+          // compute_mii (in mii_for) runs outside run_stages and can throw
+          // Error (QVLIW_ASSERT in rec_mii); the uncached pipeline turns the
+          // same throw into its canonical failure, so re-run it for parity.
         }
         if (!produced) ++tally.stats.fallback_runs;
       }

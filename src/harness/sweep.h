@@ -8,7 +8,8 @@
 // same unroll choice, same copy insertion — reuse the cached
 // post-transform loop, its DDG, and the MII bounds instead of recomputing
 // them, and only the back end (schedule, queue allocation, simulation)
-// runs per point.
+// runs per point.  With SweepOptions::store_dir set, the post-transform
+// loop also persists on disk as a front entry, the store's one entry kind.
 //
 // Caching is per loop and lives on the worker that owns the loop, so it
 // needs no locks; results are bit-identical with the cache on or off (a
@@ -62,9 +63,8 @@ struct SweepCacheStats {
   /// in-memory hit rate incomparable across runs with and without a store.
   std::uint64_t disk_probes = 0, disk_hits = 0;
 
-  /// Persistent MII-map tier: per-(loop, front prefix, machine) bounds
-  /// consulted in the store on an in-memory MII miss.  Separate from the
-  /// front-entry disk counters for the same comparability reason.
+  /// Always 0: the store persists front entries only, never MII bounds.
+  /// Kept because perfbench still reads these fields.
   std::uint64_t mii_disk_probes = 0, mii_disk_hits = 0;
 
   /// Unroll-policy prober accounting: candidate factors examined, and how
@@ -89,9 +89,11 @@ struct SweepCacheStats {
   /// warm-started cell of a sweep is counted here.
   std::uint64_t sched_memo_probes = 0, sched_memo_hits = 0;
 
-  /// Cached runs that abandoned the cached path entirely and re-ran the
-  /// monolithic pipeline (exception escape hatch; 0 in normal operation —
-  /// cached front-end *failures* are replayed from the cache, not re-run).
+  /// Cached runs that re-ran the monolithic pipeline because the cached
+  /// path threw Error outside the stage plan: compute_mii runs there and
+  /// can throw (QVLIW_ASSERT in rec_mii), and re-running keeps the
+  /// pipeline's exact failure result.  0 in normal operation — cached
+  /// front-end *failures* are replayed from the cache, not re-run.
   std::uint64_t fallback_runs = 0;
 
   [[nodiscard]] std::uint64_t probes() const {
@@ -153,12 +155,10 @@ struct SweepOptions {
   ThreadPool* pool = nullptr;
 
   /// Root directory of the persistent content-addressed artifact store
-  /// (support/artifact_store.h); empty disables persistence.  Keyed by
-  /// Loop::content_hash plus the front prefix key, so repeated invocations
-  /// — including across processes and bench runs — reload the front end
-  /// instead of recomputing it.  Also persists per-machine MII maps
-  /// (keyed by Loop::content_hash + front prefix + MachineConfig
-  /// signature).  Requires use_cache.
+  /// (support/artifact_store.h); empty disables persistence.  Holds one
+  /// front entry per (Loop::content_hash, front prefix key), so repeated
+  /// invocations — including across processes and bench runs — reload the
+  /// front end instead of recomputing it.  Requires use_cache.
   std::string store_dir;
 
   /// Sweep-level translation validation.  kSample audits a deterministic
@@ -186,23 +186,10 @@ struct SweepPrefixKeys {
   std::uint64_t front = 0;
   std::uint64_t machine = 0;  // machine signature (MII cache key)
 
-  /// The resolved scheduler backend's cache-key contribution
-  /// (SchedulerBackend::cache_key): folded into every slot holding one of
-  /// its schedules — the sched-memo key today — so backends with
-  /// different contributions never alias.  For an unknown backend name
-  /// the contribution hashes the name itself (the point fails in the
-  /// schedule stage either way).
-  std::uint64_t backend = 0;
-
-  /// Whether precomputed MII bounds may be injected into the point's
-  /// scheduler (SchedulerBackend::consumes_cached_mii; replaces the old
-  /// hard-coded wants_mii special case).
-  bool consumes_cached_mii = false;
-
-  /// Whether the backend accepts WarmStartSeed injection
-  /// (SchedulerBackend::supports_warm_start).  Gates the task-local
-  /// MII-optimality short-circuit, the sweep's only seeding path.
-  bool supports_warm_start = false;
+  /// The point's scheduler_cache_key: folded into every slot holding one
+  /// of its schedules — the sched-memo key today — so scheduler kinds and
+  /// options with different contributions never alias.
+  std::uint64_t scheduler = 0;
 };
 
 [[nodiscard]] SweepPrefixKeys sweep_prefix_keys(const SweepPoint& point);

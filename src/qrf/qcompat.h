@@ -4,8 +4,8 @@
 // always pushed and popped in the same relative order, with no two pushes
 // (or pops) of the queue in the same cycle.
 //
-// Derivation used here (tests prove it equivalent to brute-force FIFO
-// simulation): take production times Pa, Pb and residency lengths
+// Derivation used here (tests/test_qcompat.cpp proves it equivalent to
+// brute-force FIFO simulation): take production times Pa, Pb and residency lengths
 // La = Ca - Pa >= Lb = Cb - Pb.  A conflicting pair of instances exists
 // iff some integer x with x ≡ (Pb - Pa) (mod II) lies in [0, La - Lb]:
 //   x = 0         -> simultaneous pushes;
@@ -28,11 +28,5 @@ namespace qvliw {
 
 /// Convenience overload on lifetimes (domains are not inspected).
 [[nodiscard]] bool q_compatible(const Lifetime& a, const Lifetime& b, int ii);
-
-/// Ground-truth oracle: simulates the two lifetimes sharing one FIFO from
-/// an empty queue over enough periods to reach steady state, checking
-/// FIFO pop order and the one-push/one-pop-per-cycle port limits.
-/// Intended for tests; quadratic in the number of simulated instances.
-[[nodiscard]] bool q_compatible_bruteforce(int push_a, int pop_a, int push_b, int pop_b, int ii);
 
 }  // namespace qvliw

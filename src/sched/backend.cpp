@@ -5,7 +5,6 @@
 #include "cluster/route.h"
 #include "support/diagnostics.h"
 #include "support/rng.h"
-#include "support/strings.h"
 
 namespace qvliw {
 
@@ -21,162 +20,51 @@ std::string_view scheduler_kind_name(SchedulerKind kind) {
   QVLIW_ASSERT(false, "bad SchedulerKind");
 }
 
-std::uint64_t SchedulerBackend::cache_key(ClusterHeuristic, const ImsOptions&) const {
-  return hash_bytes(name());
+bool scheduler_rewrites_loop(SchedulerKind kind) {
+  return kind == SchedulerKind::kClusteredMoves;
 }
 
-std::uint64_t SchedulerBackend::fold_ims(std::uint64_t key, const ImsOptions& ims) {
+std::uint64_t scheduler_cache_key(SchedulerKind kind, ClusterHeuristic heuristic,
+                                  const ImsOptions& ims) {
+  std::uint64_t key = hash_bytes(scheduler_kind_name(kind));
+  // The heuristic steers cluster choice only; a one-cluster schedule is
+  // independent of it, so points differing only there share slots.
+  if (kind != SchedulerKind::kSingleCluster) {
+    key = hash_combine(key, hash64(static_cast<std::uint64_t>(heuristic)));
+  }
   key = hash_combine(key, hash64(static_cast<std::uint64_t>(ims.start_ii)));
   key = hash_combine(key, hash64(static_cast<std::uint64_t>(ims.max_ii)));
   key = hash_combine(key, hash64(static_cast<std::uint64_t>(ims.max_ii_attempts)));
   return hash_combine(key, hash64(static_cast<std::uint64_t>(ims.ii_limit + 1)));
 }
 
-namespace {
-
-class SingleClusterBackend final : public SchedulerBackend {
- public:
-  [[nodiscard]] std::string_view name() const override { return "single-cluster"; }
-
-  [[nodiscard]] std::uint64_t cache_key(ClusterHeuristic, const ImsOptions& ims) const override {
-    // The heuristic steers cluster choice only; a one-cluster schedule is
-    // independent of it, so points differing only there share slots.
-    return fold_ims(hash_bytes(name()), ims);
-  }
-
-  [[nodiscard]] ScheduleOutcome schedule(const ScheduleRequest& request) const override {
-    ScheduleOutcome outcome;
-    outcome.ims =
-        ims_schedule(*request.loop, *request.graph, *request.machine, request.ims,
-                     /*assigner=*/nullptr, request.seed);
+ScheduleOutcome schedule(SchedulerKind kind, const ScheduleRequest& request) {
+  ScheduleOutcome outcome;
+  if (kind == SchedulerKind::kSingleCluster) {
+    outcome.ims = ims_schedule(*request.loop, *request.graph, *request.machine, request.ims,
+                               /*assigner=*/nullptr, request.seed);
     return outcome;
   }
-};
-
-class ClusteredBackend final : public SchedulerBackend {
- public:
-  [[nodiscard]] std::string_view name() const override { return "clustered"; }
-
-  [[nodiscard]] std::uint64_t cache_key(ClusterHeuristic heuristic,
-                                        const ImsOptions& ims) const override {
-    return fold_ims(hash_combine(hash_bytes(name()),
-                                 hash64(static_cast<std::uint64_t>(heuristic))),
-                    ims);
-  }
-
-  [[nodiscard]] ScheduleOutcome schedule(const ScheduleRequest& request) const override {
-    PartitionOptions options;
-    options.heuristic = request.heuristic;
-    options.ims = request.ims;
-    ScheduleOutcome outcome;
+  PartitionOptions options;
+  options.heuristic = request.heuristic;
+  options.ims = request.ims;
+  if (kind == SchedulerKind::kClustered) {
     outcome.ims = partition_schedule(*request.loop, *request.graph, *request.machine, options,
                                      request.seed);
     return outcome;
   }
-};
-
-class ClusteredMovesBackend final : public SchedulerBackend {
- public:
-  [[nodiscard]] std::string_view name() const override { return "clustered-moves"; }
-
-  [[nodiscard]] std::uint64_t cache_key(ClusterHeuristic heuristic,
-                                        const ImsOptions& ims) const override {
-    return fold_ims(hash_combine(hash_bytes(name()),
-                                 hash64(static_cast<std::uint64_t>(heuristic))),
-                    ims);
-  }
-
-  /// The router reschedules rewritten loops internally; cached MII bounds
-  /// for the pre-routing loop must not leak into those runs.
-  [[nodiscard]] bool consumes_cached_mii() const override { return false; }
-
-  /// Moves change the loop itself, so a neighbouring point's schedule
-  /// does not transfer.
-  [[nodiscard]] bool supports_warm_start() const override { return false; }
-
-  [[nodiscard]] ScheduleOutcome schedule(const ScheduleRequest& request) const override {
-    PartitionOptions options;
-    options.heuristic = request.heuristic;
-    options.ims = request.ims;
-    ScheduleOutcome outcome;
-    RouteResult routed = partition_with_moves(*request.loop, *request.machine, options);
-    if (!routed.ok) {
-      outcome.ims.failure = std::move(routed.failure);
-      return outcome;
-    }
-    outcome.ims = std::move(routed.ims);
-    outcome.rewrote = true;
-    outcome.moves_added = routed.moves_added;
-    outcome.rewritten_graph =
-        std::make_shared<const Ddg>(Ddg::build(routed.loop, request.machine->latency));
-    outcome.rewritten_loop = std::move(routed.loop);
+  RouteResult routed = partition_with_moves(*request.loop, *request.machine, options);
+  if (!routed.ok) {
+    outcome.ims.failure = std::move(routed.failure);
     return outcome;
   }
-};
-
-}  // namespace
-
-SchedulerRegistry& SchedulerRegistry::instance() {
-  static SchedulerRegistry* registry = [] {
-    auto* r = new SchedulerRegistry();
-    r->add(std::make_unique<SingleClusterBackend>());
-    r->add(std::make_unique<ClusteredBackend>());
-    r->add(std::make_unique<ClusteredMovesBackend>());
-    return r;
-  }();
-  return *registry;
-}
-
-void SchedulerRegistry::add(std::unique_ptr<SchedulerBackend> backend) {
-  check(backend != nullptr, "SchedulerRegistry: null backend");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const std::unique_ptr<SchedulerBackend>& existing : backends_) {
-    if (existing->name() == backend->name()) {
-      fail(cat("SchedulerRegistry: backend '", backend->name(), "' already registered"));
-    }
-  }
-  backends_.push_back(std::move(backend));
-}
-
-const SchedulerBackend* SchedulerRegistry::find(std::string_view name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const std::unique_ptr<SchedulerBackend>& backend : backends_) {
-    if (backend->name() == name) return backend.get();
-  }
-  return nullptr;
-}
-
-const SchedulerBackend& SchedulerRegistry::require(std::string_view name) const {
-  const SchedulerBackend* backend = find(name);
-  if (backend == nullptr) {
-    std::string known;
-    for (const std::string& n : names()) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
-    throw Error(cat("unknown scheduler backend '", name, "' (registered: ", known, ")"));
-  }
-  return *backend;
-}
-
-std::vector<std::string> SchedulerRegistry::names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(backends_.size());
-  for (const std::unique_ptr<SchedulerBackend>& backend : backends_) {
-    out.emplace_back(backend->name());
-  }
-  return out;
-}
-
-const SchedulerBackend& scheduler_backend(SchedulerKind kind) {
-  return SchedulerRegistry::instance().require(scheduler_kind_name(kind));
-}
-
-const SchedulerBackend* find_scheduler_backend(SchedulerKind kind,
-                                               std::string_view override_name) {
-  if (!override_name.empty()) return SchedulerRegistry::instance().find(override_name);
-  return &scheduler_backend(kind);
+  outcome.ims = std::move(routed.ims);
+  outcome.rewrote = true;
+  outcome.moves_added = routed.moves_added;
+  outcome.rewritten_graph =
+      std::make_shared<const Ddg>(Ddg::build(routed.loop, request.machine->latency));
+  outcome.rewritten_loop = std::move(routed.loop);
+  return outcome;
 }
 
 }  // namespace qvliw

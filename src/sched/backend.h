@@ -1,62 +1,47 @@
-// Pluggable scheduler backends behind a process-wide registry.
+// The pipeline's three scheduling modes behind one dispatch function.
 //
-// The back end of the pipeline (harness/stage.h) used to hard-code a
-// switch over `SchedulerKind`; this header promotes each arm to a
-// `SchedulerBackend` that names itself, declares how it interacts with
-// the sweep runner's caches, and schedules a `ScheduleRequest`.  The
-// enum survives as a thin registry lookup (`scheduler_backend`), so all
-// existing option structs and benches keep working, while external
-// schedulers — e.g. an SMT-based optimal scheduler in the style of
-// Roorda's software pipeliner — plug into the same sweep and
-// golden-equivalence harness by registering under a new name and being
-// selected per point via `PipelineOptions::backend`.
+// `schedule(kind, request)` runs single-cluster IMS, the paper's
+// partitioned IMS, or partitioned IMS with move routing on a
+// `ScheduleRequest`.  The two facts the sweep runner needs about a kind
+// are free functions too:
 //
-// Two declarations replace ad-hoc special cases in the sweep runner:
-//
-//  - `consumes_cached_mii()`: whether precomputed MII bounds for the
-//    request's loop may be injected via ImsOptions::known_mii (the moves
-//    router reschedules rewritten loops internally, so bounds for the
-//    pre-routing loop must not leak into it — previously the `wants_mii`
-//    flag hard-coded in sweep_prefix_keys).
-//  - `cache_key(heuristic, ims)`: the backend's contribution to any
-//    cache slot holding one of its schedules.  It folds the backend's
-//    identity plus every option that changes which schedules are
-//    *reachable* — but not `budget_ratio`, the effort axis a budget
-//    ladder deliberately spans.  Slots derived from different
-//    contributions never alias (a regression test enforces this).
+//  - `scheduler_cache_key(kind, heuristic, ims)`: the kind's contribution
+//    to any cache slot holding one of its schedules.  It folds the kind
+//    plus every option that changes which schedules are *reachable* — but
+//    not `budget_ratio`, the effort axis a budget ladder deliberately
+//    spans.  Slots derived from different contributions never alias (a
+//    regression test enforces this).
+//  - `scheduler_rewrites_loop(kind)`: the moves router inserts relay ops
+//    and reschedules the rewritten loop internally, so neither MII bounds
+//    precomputed for the request's loop (ImsOptions::known_mii) nor a
+//    sibling point's schedule (`ScheduleRequest::seed`) applies to it.
 //
 // Warm starts: a request may carry the MII-optimal schedule a sibling
 // sweep point accepted (same loop/DDG/machine, smaller budget) as a
-// `WarmStartSeed`.  Backends that return true from
-// `supports_warm_start()` forward it to IMS, which verifies the seed and
-// uses it to cap the II ladder — never changing the final II relative to
-// a cold run on an ascending-budget ladder, only skipping the search
-// that would rediscover it.
+// `WarmStartSeed`.  The non-rewriting kinds forward it to IMS, which
+// verifies the seed and uses it to cap the II ladder — never changing the
+// final II relative to a cold run on an ascending-budget ladder, only
+// skipping the search that would rediscover it.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "cluster/partition.h"
 #include "sched/ims.h"
 
 namespace qvliw {
 
-/// The built-in scheduling modes.  Kept for API compatibility: each value
-/// is now only a name lookup into the backend registry (see
-/// `scheduler_backend`), not a dispatch site.
+/// The scheduling modes.
 enum class SchedulerKind {
   kSingleCluster,   // classic IMS, machine treated as one cluster
   kClustered,       // the paper's partitioned IMS (adjacent-only comm)
   kClusteredMoves,  // extension: multi-hop routing via move ops
 };
 
-/// The registry name of a built-in kind ("single-cluster", "clustered",
-/// "clustered-moves").
+/// The kind's report name ("single-cluster", "clustered",
+/// "clustered-moves"), recorded in LoopResult::backend.
 [[nodiscard]] std::string_view scheduler_kind_name(SchedulerKind kind);
 
 /// Everything one scheduling run consumes.  Non-owning: the caller keeps
@@ -66,21 +51,20 @@ struct ScheduleRequest {
   const Ddg* graph = nullptr;
   const MachineConfig* machine = nullptr;
 
-  /// IMS knobs, including the II window and — for backends that consume
-  /// cached bounds — the precomputed MII in `ims.known_mii`.
+  /// IMS knobs, including the II window and — for kinds that do not
+  /// rewrite the loop — the precomputed MII in `ims.known_mii`.
   ImsOptions ims;
 
-  /// Cluster-choice heuristic (consulted by the partitioned backends).
+  /// Cluster-choice heuristic (consulted by the partitioned kinds).
   ClusterHeuristic heuristic = ClusterHeuristic::kAffinity;
 
   /// Optional warm start: a ladder sibling's accepted MII-optimal schedule.
   const WarmStartSeed* seed = nullptr;
 };
 
-/// What a backend hands back.  Backends that rewrite the loop on the way
-/// (the moves router inserts relay ops) return the rewritten loop and its
-/// DDG so the caller can adopt them; `rewrote` is false for backends that
-/// schedule the request's loop as-is.
+/// What a scheduling run hands back.  The moves router returns the
+/// rewritten loop and its DDG so the caller can adopt them; `rewrote` is
+/// false for the kinds that schedule the request's loop as-is.
 struct ScheduleOutcome {
   ImsResult ims;
 
@@ -90,71 +74,18 @@ struct ScheduleOutcome {
   int moves_added = 0;
 };
 
-class SchedulerBackend {
- public:
-  virtual ~SchedulerBackend() = default;
+/// Schedules `request` with the scheduler of `kind`.
+[[nodiscard]] ScheduleOutcome schedule(SchedulerKind kind, const ScheduleRequest& request);
 
-  /// Unique registry name (also the per-point label in bench reports).
-  [[nodiscard]] virtual std::string_view name() const = 0;
+/// Contribution of `kind` to cache slots holding its schedules (the
+/// sweep's MII-optimality memo): the kind, the heuristic when the kind
+/// partitions, and the II window and attempt cap — NOT budget_ratio or
+/// known_mii.
+[[nodiscard]] std::uint64_t scheduler_cache_key(SchedulerKind kind, ClusterHeuristic heuristic,
+                                                const ImsOptions& ims);
 
-  /// Contribution to cache slots holding this backend's schedules (the
-  /// sweep's MII-optimality memo).  The base implementation hashes the
-  /// name; backends fold in every option that changes their output
-  /// schedule, EXCEPT the placement budget — that is the ladder axis the
-  /// memo spans.
-  [[nodiscard]] virtual std::uint64_t cache_key(ClusterHeuristic heuristic,
-                                                const ImsOptions& ims) const;
-
-  /// Whether ImsOptions::known_mii bounds computed for the request's loop
-  /// may be injected (replaces the sweep runner's `wants_mii` flag).
-  [[nodiscard]] virtual bool consumes_cached_mii() const { return true; }
-
-  /// Whether the backend honours ScheduleRequest::seed.
-  [[nodiscard]] virtual bool supports_warm_start() const { return true; }
-
-  [[nodiscard]] virtual ScheduleOutcome schedule(const ScheduleRequest& request) const = 0;
-
- protected:
-  /// Folds the outcome-relevant ImsOptions fields (II window and attempt
-  /// cap; NOT budget_ratio or known_mii) into `key`.
-  [[nodiscard]] static std::uint64_t fold_ims(std::uint64_t key, const ImsOptions& ims);
-};
-
-/// Process-wide backend registry.  Registration is append-only (backend
-/// pointers stay valid for the life of the process) and thread-safe; the
-/// three built-in backends are registered on first access.
-class SchedulerRegistry {
- public:
-  /// The process-wide instance, with built-ins already registered.
-  [[nodiscard]] static SchedulerRegistry& instance();
-
-  /// Registers `backend`; throws Error when the name is already taken.
-  void add(std::unique_ptr<SchedulerBackend> backend);
-
-  /// Backend by name; nullptr when unknown.
-  [[nodiscard]] const SchedulerBackend* find(std::string_view name) const;
-
-  /// Backend by name; throws Error listing the registered names when
-  /// unknown (the diagnostic a mistyped PipelineOptions::backend gets).
-  [[nodiscard]] const SchedulerBackend& require(std::string_view name) const;
-
-  /// Registered names, in registration order (built-ins first).
-  [[nodiscard]] std::vector<std::string> names() const;
-
- private:
-  SchedulerRegistry() = default;
-
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<SchedulerBackend>> backends_;
-};
-
-/// The thin enum lookup: registry backend of a built-in kind.
-[[nodiscard]] const SchedulerBackend& scheduler_backend(SchedulerKind kind);
-
-/// Resolution used by the pipeline: `override_name` when non-empty (null
-/// when unknown — callers report the diagnostic via require), else the
-/// built-in backend of `kind`.
-[[nodiscard]] const SchedulerBackend* find_scheduler_backend(SchedulerKind kind,
-                                                             std::string_view override_name);
+/// True when the scheduler rewrites the loop (the moves router): such a
+/// kind ignores injected MII bounds and warm-start seeds.
+[[nodiscard]] bool scheduler_rewrites_loop(SchedulerKind kind);
 
 }  // namespace qvliw

@@ -2,11 +2,9 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -44,45 +42,17 @@ std::string ArtifactStore::path_for(std::uint64_t key) const {
   return root_ + "/" + hex.substr(0, 2) + "/" + hex + ".qart";
 }
 
-ArtifactStore::Stripe& ArtifactStore::stripe_for(std::uint64_t key) const {
-  // Keys are content hashes — already uniform; the top bits pick the
-  // on-disk fan-out directory, so take stripe bits from the other end.
-  return stripes_[static_cast<std::size_t>(key) % kStripes];
-}
-
-void ArtifactStore::memoize(std::uint64_t key, std::shared_ptr<const std::string> blob) const {
-  Stripe& stripe = stripe_for(key);
-  const std::lock_guard<std::mutex> lock(stripe.mutex);
-  if (stripe.blobs.size() >= kStripeCap) stripe.blobs.clear();
-  stripe.blobs[key] = std::move(blob);
-}
-
 bool ArtifactStore::load(std::uint64_t key, std::string& blob) const {
-  {
-    Stripe& stripe = stripe_for(key);
-    const std::lock_guard<std::mutex> lock(stripe.mutex);
-    if (const auto it = stripe.blobs.find(key); it != stripe.blobs.end()) {
-      blob = *it->second;
-      return true;
-    }
-  }
-  // Disk I/O stays outside the stripe lock; misses are never memoised, so
-  // entries installed by other processes are picked up on the next probe.
   std::ifstream in(path_for(key), std::ios::binary);
   if (!in) return false;
   std::ostringstream buffer;
   buffer << in.rdbuf();
   if (!in.good() && !in.eof()) return false;
   blob = std::move(buffer).str();
-  memoize(key, std::make_shared<const std::string>(blob));
   return true;
 }
 
 void ArtifactStore::save(std::uint64_t key, std::string_view blob) const {
-  // Memoise up front: the bytes are this key's content either way, and a
-  // failed disk write should not also cost in-process re-reads.
-  memoize(key, std::make_shared<const std::string>(blob));
-
   std::error_code ec;  // all failures degrade to "no cache entry written"
   const fs::path target = path_for(key);
   fs::create_directories(target.parent_path(), ec);
@@ -104,58 +74,6 @@ void ArtifactStore::save(std::uint64_t key, std::string_view blob) const {
     }
   }
   fs::rename(temp, target, ec);
-  if (ec) fs::remove(temp, ec);
-}
-
-namespace {
-constexpr std::string_view kVersionMarkerPrefix = "format.v";
-}
-
-ArtifactStoreStats ArtifactStore::stats() const {
-  ArtifactStoreStats stats;
-  std::error_code ec;
-  for (const fs::directory_entry& top : fs::directory_iterator(root_, ec)) {
-    const std::string name = top.path().filename().string();
-    if (top.is_regular_file(ec) && starts_with(name, kVersionMarkerPrefix)) {
-      const std::string digits = name.substr(kVersionMarkerPrefix.size());
-      if (!digits.empty() && digits.find_first_not_of("0123456789") == std::string::npos) {
-        stats.versions.push_back(std::strtoull(digits.c_str(), nullptr, 10));
-      }
-      continue;
-    }
-    if (!top.is_directory(ec)) continue;
-    bool populated = false;
-    for (const fs::directory_entry& file : fs::directory_iterator(top.path(), ec)) {
-      if (!file.is_regular_file(ec)) continue;
-      const std::string leaf = file.path().filename().string();
-      const std::uint64_t bytes = static_cast<std::uint64_t>(file.file_size(ec));
-      if (ec) continue;  // renamed/removed by a live writer mid-scan
-      if (leaf.find(".tmp.") != std::string::npos) {
-        ++stats.temp_files;
-        stats.temp_bytes += bytes;
-      } else if (leaf.size() > 5 && leaf.compare(leaf.size() - 5, 5, ".qart") == 0) {
-        ++stats.entries;
-        stats.entry_bytes += bytes;
-        populated = true;
-      }
-    }
-    if (populated) ++stats.fanout_dirs;
-  }
-  std::sort(stats.versions.begin(), stats.versions.end());
-  return stats;
-}
-
-void ArtifactStore::mark_version(std::uint64_t version) const {
-  std::error_code ec;
-  const fs::path marker = fs::path(root_) / cat(kVersionMarkerPrefix, version);
-  if (fs::exists(marker, ec)) return;
-  fs::create_directories(root_, ec);
-  if (ec) return;
-  // Same temp + atomic-rename discipline as save(): concurrent markers
-  // only race to install the same (empty) file.
-  const fs::path temp = fs::path(root_) / cat(kVersionMarkerPrefix, version, ".tmp.", ::getpid());
-  { std::ofstream out(temp, std::ios::binary | std::ios::trunc); }
-  fs::rename(temp, marker, ec);
   if (ec) fs::remove(temp, ec);
 }
 

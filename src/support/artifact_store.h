@@ -16,101 +16,41 @@
 // little-endian integers, length-prefixed strings).
 //
 // Thread safety: one ArtifactStore may be shared by every worker thread
-// of a sweep.  Reads go through a read-mostly in-memory index — 16 lock
-// stripes over key -> blob, filled on first load and on save — so a hot
-// key costs one short stripe lock instead of a filesystem round trip, and
-// disk I/O always happens *outside* the stripe lock.  Only *positive*
-// results are memoised: a miss is re-probed on disk every time, so
-// entries installed by concurrent processes become visible without any
-// invalidation protocol.  Because keys are content hashes, a memoised
-// blob can never go stale — at worst the index re-serves bytes another
-// writer just re-installed identically.
+// of a sweep.  It holds no state besides its root: concurrent loads read
+// files, and concurrent writers of one key only race to rename identical
+// bytes into place.
+//
+// Old stores may hold entries that nothing reads any more (schedules, MII
+// maps, v2 front entries, written by older builds under retired key
+// domains); deleting the directory reclaims them.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
 namespace qvliw {
-
-/// Operator-facing inventory of a store directory (ArtifactStore::stats):
-/// installed entries, leftover temp files from killed writers, and the
-/// format-version markers recorded by mark_version.
-struct ArtifactStoreStats {
-  std::uint64_t entries = 0;     // installed *.qart blobs
-  std::uint64_t entry_bytes = 0;
-  std::uint64_t temp_files = 0;  // *.tmp.* siblings a killed writer left behind
-  std::uint64_t temp_bytes = 0;
-  std::uint64_t fanout_dirs = 0;  // populated <aa>/ directories
-  /// Format versions that have written into this store, ascending (from
-  /// the root's `format.v<N>` markers).  More than one version means
-  /// entries keyed under retired key domains are still on disk — dead
-  /// weight that is never read again and can be garbage-collected.
-  std::vector<std::uint64_t> versions;
-};
 
 class ArtifactStore {
  public:
   /// Opens (and lazily creates) the store rooted at `root`.
   explicit ArtifactStore(std::string root);
 
-  /// Non-copyable: the striped index carries mutexes, and two copies
-  /// would silently stop sharing their memoisation.
-  ArtifactStore(const ArtifactStore&) = delete;
-  ArtifactStore& operator=(const ArtifactStore&) = delete;
-
   /// Reads the blob stored under `key` into `blob`; false when absent or
   /// unreadable (a corrupt entry is indistinguishable from a miss by
-  /// design — callers revalidate through their own decoding).  A hit is
-  /// memoised in the striped index; thread-safe.
+  /// design — callers revalidate through their own decoding).  Thread-safe.
   [[nodiscard]] bool load(std::uint64_t key, std::string& blob) const;
 
   /// Atomically installs `blob` under `key`, overwriting any previous
-  /// value, and memoises it so later loads through this object skip the
-  /// disk.  Failures (full disk, permissions) are swallowed: the store is
-  /// a cache, and losing a write only costs a future recomputation (the
-  /// memoised copy still serves this process).  Thread-safe.
+  /// value.  Failures (full disk, permissions) are swallowed: the store is
+  /// a cache, and losing a write only costs a future recomputation.
+  /// Thread-safe.
   void save(std::uint64_t key, std::string_view blob) const;
 
-  [[nodiscard]] const std::string& root() const { return root_; }
-
-  /// Walks the store and reports entry counts, bytes, leftover temp
-  /// files, and the version-marker mix — the maintenance view for
-  /// operators inspecting a shared store directory.  Purely read-only; a
-  /// missing root reports all-zero stats.
-  [[nodiscard]] ArtifactStoreStats stats() const;
-
-  /// Records that a writer using blob-format `version` used this store,
-  /// as an empty `format.v<N>` marker at the root (idempotent, atomic
-  /// like save()).  Writers call this once per process so stats() can
-  /// report which key domains a long-lived shared store has accumulated.
-  void mark_version(std::uint64_t version) const;
-
  private:
-  /// One lock stripe of the in-memory index.  Blobs are shared_ptr so a
-  /// reader can copy the bytes out after dropping the stripe lock even if
-  /// an eviction sweeps the stripe meanwhile.
-  struct Stripe {
-    std::mutex mutex;
-    std::unordered_map<std::uint64_t, std::shared_ptr<const std::string>> blobs;
-  };
-
-  static constexpr std::size_t kStripes = 16;
-  /// Per-stripe entry cap; a stripe that grows past it is cleared (the
-  /// index is a cache of a cache — wholesale eviction is always correct).
-  static constexpr std::size_t kStripeCap = 4096;
-
   [[nodiscard]] std::string path_for(std::uint64_t key) const;
-  [[nodiscard]] Stripe& stripe_for(std::uint64_t key) const;
-  void memoize(std::uint64_t key, std::shared_ptr<const std::string> blob) const;
 
   std::string root_;
-  mutable std::array<Stripe, kStripes> stripes_;
 };
 
 /// Append-only builder of the store's portable binary blob format.

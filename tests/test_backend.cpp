@@ -1,12 +1,11 @@
-// Scheduler-backend registry: round-trip and diagnostics, golden
-// equivalence of registry dispatch against the legacy SchedulerKind
-// switch, cache-key contribution separation, and warm-start properties
-// (final II never worse than cold, seeds verified before adoption).
+// Scheduler kinds: the names results record, golden equivalence of
+// schedule(kind, ...) against the direct scheduler calls, cache-key
+// contribution separation, and warm-start properties (final II never
+// worse than cold, seeds verified before adoption).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
 #include <string>
+#include <utility>
 
 #include "cluster/route.h"
 #include "harness/pipeline.h"
@@ -52,98 +51,29 @@ void expect_same_ims(const ImsResult& a, const ImsResult& b, const std::string& 
   if (a.ok && b.ok) expect_same_schedule(a.schedule, b.schedule, where);
 }
 
-TEST(BackendRegistry, BuiltinsRegisteredAndEnumLooksThemUp) {
-  const std::vector<std::string> names = SchedulerRegistry::instance().names();
-  for (const char* expected : {"single-cluster", "clustered", "clustered-moves"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end()) << expected;
-    EXPECT_NE(SchedulerRegistry::instance().find(expected), nullptr) << expected;
-  }
-  for (const SchedulerKind kind :
-       {SchedulerKind::kSingleCluster, SchedulerKind::kClustered,
-        SchedulerKind::kClusteredMoves}) {
-    EXPECT_EQ(scheduler_backend(kind).name(), scheduler_kind_name(kind));
-    EXPECT_EQ(find_scheduler_backend(kind, ""), &scheduler_backend(kind));
-  }
-  EXPECT_FALSE(scheduler_backend(SchedulerKind::kClusteredMoves).consumes_cached_mii());
-  EXPECT_FALSE(scheduler_backend(SchedulerKind::kClusteredMoves).supports_warm_start());
-  EXPECT_TRUE(scheduler_backend(SchedulerKind::kClustered).consumes_cached_mii());
-}
-
-TEST(BackendRegistry, UnknownNameDiagnosticListsRegisteredBackends) {
-  EXPECT_EQ(SchedulerRegistry::instance().find("no-such-backend"), nullptr);
-  EXPECT_EQ(find_scheduler_backend(SchedulerKind::kClustered, "no-such-backend"), nullptr);
-  try {
-    (void)SchedulerRegistry::instance().require("no-such-backend");
-    FAIL() << "require() accepted an unknown backend";
-  } catch (const Error& error) {
-    const std::string message = error.what();
-    EXPECT_NE(message.find("no-such-backend"), std::string::npos) << message;
-    EXPECT_NE(message.find("single-cluster"), std::string::npos) << message;
-    EXPECT_NE(message.find("clustered-moves"), std::string::npos) << message;
-  }
-}
-
-TEST(BackendRegistry, DuplicateNameRejected) {
-  class Dup final : public SchedulerBackend {
-   public:
-    [[nodiscard]] std::string_view name() const override { return "single-cluster"; }
-    [[nodiscard]] ScheduleOutcome schedule(const ScheduleRequest&) const override { return {}; }
-  };
-  EXPECT_THROW(SchedulerRegistry::instance().add(std::make_unique<Dup>()), Error);
-}
-
-/// A registrable external backend: classic IMS under a new name, with a
-/// distinctive cache-key contribution.  Stands in for the SMT-style
-/// reference scheduler the registry seam is built for.
-class EchoBackend final : public SchedulerBackend {
- public:
-  explicit EchoBackend(std::string name, std::uint64_t salt) : name_(std::move(name)), salt_(salt) {}
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] std::uint64_t cache_key(ClusterHeuristic, const ImsOptions&) const override {
-    return salt_;
-  }
-  [[nodiscard]] ScheduleOutcome schedule(const ScheduleRequest& request) const override {
-    ScheduleOutcome outcome;
-    outcome.ims = ims_schedule(*request.loop, *request.graph, *request.machine, request.ims,
-                               nullptr, request.seed);
-    return outcome;
-  }
-
- private:
-  std::string name_;
-  std::uint64_t salt_;
-};
-
-TEST(BackendRegistry, CustomBackendRunsThroughThePipeline) {
-  SchedulerRegistry::instance().add(std::make_unique<EchoBackend>("test-echo", 0x71u));
-
+// LoopResult::backend is serialised into the sweep fingerprint, so the
+// kind names are part of every pinned result.
+TEST(SchedulerKinds, PipelineRecordsKindNames) {
   const Loop loop = kernel_by_name("dot");
-  const MachineConfig machine = MachineConfig::single_cluster_machine(6);
-
-  PipelineOptions via_enum;
-  PipelineOptions via_name;
-  via_name.backend = "test-echo";
-  const LoopResult enum_result = run_pipeline(loop, machine, via_enum);
-  const LoopResult name_result = run_pipeline(loop, machine, via_name);
-
-  ASSERT_TRUE(enum_result.ok) << enum_result.failure;
-  ASSERT_TRUE(name_result.ok) << name_result.failure;
-  EXPECT_EQ(enum_result.ii, name_result.ii);
-  EXPECT_EQ(enum_result.backend, "single-cluster");
-  EXPECT_EQ(name_result.backend, "test-echo");
-
-  PipelineOptions bad;
-  bad.backend = "not-a-backend";
-  const LoopResult bad_result = run_pipeline(loop, machine, bad);
-  EXPECT_FALSE(bad_result.ok);
-  EXPECT_NE(bad_result.failure.find("unknown scheduler backend"), std::string::npos)
-      << bad_result.failure;
-  EXPECT_NE(bad_result.failure.find("not-a-backend"), std::string::npos) << bad_result.failure;
+  const MachineConfig ring = MachineConfig::clustered_machine(4);
+  const std::pair<SchedulerKind, const char*> kinds[] = {
+      {SchedulerKind::kSingleCluster, "single-cluster"},
+      {SchedulerKind::kClustered, "clustered"},
+      {SchedulerKind::kClusteredMoves, "clustered-moves"}};
+  for (const auto& [kind, name] : kinds) {
+    EXPECT_EQ(scheduler_kind_name(kind), name);
+    PipelineOptions options;
+    options.scheduler = kind;
+    const LoopResult result = run_pipeline(loop, ring, options);
+    ASSERT_TRUE(result.ok) << name << ": " << result.failure;
+    EXPECT_EQ(result.backend, name);
+    EXPECT_EQ(scheduler_rewrites_loop(kind), kind == SchedulerKind::kClusteredMoves) << name;
+  }
 }
 
-// The pre-registry ScheduleStage hard-coded this switch; registry
-// dispatch must reproduce it bit for bit across the kernel corpus.
-TEST(BackendGolden, RegistryDispatchMatchesLegacySwitch) {
+// schedule(kind, ...) must reproduce the direct scheduler calls bit for
+// bit across the kernel corpus.
+TEST(BackendGolden, KindDispatchMatchesDirectCalls) {
   const MachineConfig single = MachineConfig::single_cluster_machine(6);
   const MachineConfig ring = MachineConfig::clustered_machine(4);
 
@@ -155,7 +85,7 @@ TEST(BackendGolden, RegistryDispatchMatchesLegacySwitch) {
         ScheduleRequest request =
             request_for(loop, graph, single, ClusterHeuristic::kAffinity, budget);
         const ScheduleOutcome outcome =
-            scheduler_backend(SchedulerKind::kSingleCluster).schedule(request);
+            schedule(SchedulerKind::kSingleCluster, request);
         EXPECT_FALSE(outcome.rewrote);
         expect_same_ims(outcome.ims, ims_schedule(loop, graph, single, request.ims),
                         "single/" + source.name);
@@ -165,7 +95,7 @@ TEST(BackendGolden, RegistryDispatchMatchesLegacySwitch) {
         ScheduleRequest request =
             request_for(loop, graph, ring, ClusterHeuristic::kLoadBalance, budget);
         const ScheduleOutcome outcome =
-            scheduler_backend(SchedulerKind::kClustered).schedule(request);
+            schedule(SchedulerKind::kClustered, request);
         EXPECT_FALSE(outcome.rewrote);
         PartitionOptions popts;
         popts.heuristic = ClusterHeuristic::kLoadBalance;
@@ -178,7 +108,7 @@ TEST(BackendGolden, RegistryDispatchMatchesLegacySwitch) {
         ScheduleRequest request =
             request_for(loop, graph, ring, ClusterHeuristic::kAffinity, budget);
         const ScheduleOutcome outcome =
-            scheduler_backend(SchedulerKind::kClusteredMoves).schedule(request);
+            schedule(SchedulerKind::kClusteredMoves, request);
         PartitionOptions popts;
         popts.heuristic = ClusterHeuristic::kAffinity;
         popts.ims = request.ims;
@@ -199,35 +129,36 @@ TEST(BackendGolden, RegistryDispatchMatchesLegacySwitch) {
 
 TEST(BackendKeys, ContributionsNeverAlias) {
   const ImsOptions ims;
-  const auto& single = scheduler_backend(SchedulerKind::kSingleCluster);
-  const auto& clustered = scheduler_backend(SchedulerKind::kClustered);
-  const auto& moves = scheduler_backend(SchedulerKind::kClusteredMoves);
+  const auto key = [](SchedulerKind kind, ClusterHeuristic heuristic, const ImsOptions& options) {
+    return scheduler_cache_key(kind, heuristic, options);
+  };
+  constexpr SchedulerKind kSingle = SchedulerKind::kSingleCluster;
+  constexpr SchedulerKind kClustered = SchedulerKind::kClustered;
+  constexpr SchedulerKind kMoves = SchedulerKind::kClusteredMoves;
+  constexpr ClusterHeuristic kAffinity = ClusterHeuristic::kAffinity;
 
-  // Distinct backends never share a slot.
-  const std::uint64_t s = single.cache_key(ClusterHeuristic::kAffinity, ims);
-  const std::uint64_t c = clustered.cache_key(ClusterHeuristic::kAffinity, ims);
-  const std::uint64_t m = moves.cache_key(ClusterHeuristic::kAffinity, ims);
+  // Distinct kinds never share a slot.
+  const std::uint64_t s = key(kSingle, kAffinity, ims);
+  const std::uint64_t c = key(kClustered, kAffinity, ims);
+  const std::uint64_t m = key(kMoves, kAffinity, ims);
   EXPECT_NE(s, c);
   EXPECT_NE(s, m);
   EXPECT_NE(c, m);
 
-  // The partitioned backends fold the heuristic (it changes the
-  // schedule); the single-cluster backend ignores it (it does not).
-  EXPECT_NE(clustered.cache_key(ClusterHeuristic::kAffinity, ims),
-            clustered.cache_key(ClusterHeuristic::kLoadBalance, ims));
-  EXPECT_EQ(single.cache_key(ClusterHeuristic::kAffinity, ims),
-            single.cache_key(ClusterHeuristic::kLoadBalance, ims));
+  // The partitioned kinds fold the heuristic (it changes the schedule);
+  // the single-cluster kind ignores it (it does not).
+  EXPECT_NE(key(kClustered, kAffinity, ims), key(kClustered, ClusterHeuristic::kLoadBalance, ims));
+  EXPECT_NE(key(kMoves, kAffinity, ims), key(kMoves, ClusterHeuristic::kLoadBalance, ims));
+  EXPECT_EQ(key(kSingle, kAffinity, ims), key(kSingle, ClusterHeuristic::kLoadBalance, ims));
 
   // The II window changes reachable schedules and is folded; the budget
   // is the ladder axis and is not.
   ImsOptions limited = ims;
   limited.ii_limit = 7;
-  EXPECT_NE(clustered.cache_key(ClusterHeuristic::kAffinity, ims),
-            clustered.cache_key(ClusterHeuristic::kAffinity, limited));
+  EXPECT_NE(key(kClustered, kAffinity, ims), key(kClustered, kAffinity, limited));
   ImsOptions budgeted = ims;
   budgeted.budget_ratio = 12;
-  EXPECT_EQ(clustered.cache_key(ClusterHeuristic::kAffinity, ims),
-            clustered.cache_key(ClusterHeuristic::kAffinity, budgeted));
+  EXPECT_EQ(key(kClustered, kAffinity, ims), key(kClustered, kAffinity, budgeted));
 }
 
 // Warm-start property over randomized loops and machines: offering the

@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -478,43 +477,6 @@ TEST(ArtifactStore, BinaryBlobSurvives) {
   std::filesystem::remove_all(root);
 }
 
-TEST(ArtifactStore, StatsInventoriesEntriesTempFilesAndVersions) {
-  const std::filesystem::path root =
-      std::filesystem::temp_directory_path() / "qvliw_test_artifacts_stats";
-  std::filesystem::remove_all(root);
-  const ArtifactStore store(root.string());
-
-  // Empty (even missing) store: all-zero stats.
-  const ArtifactStoreStats empty = store.stats();
-  EXPECT_EQ(empty.entries, 0u);
-  EXPECT_EQ(empty.entry_bytes, 0u);
-  EXPECT_TRUE(empty.versions.empty());
-
-  store.save(42, "hello");                       // 5 bytes
-  store.save(0xaa00000000000001ULL, "world!!");  // 7 bytes, another fan-out dir
-  store.save(0xaa00000000000002ULL, "x");        // 1 byte, same fan-out dir
-  store.mark_version(2);
-  store.mark_version(2);  // idempotent
-  store.mark_version(1);
-
-  // A temp file a killed writer left behind.
-  {
-    std::ofstream stray(root / "aa" / "deadbeef.qart.tmp.1234.5");
-    stray << "partial";
-  }
-
-  const ArtifactStoreStats stats = store.stats();
-  EXPECT_EQ(stats.entries, 3u);
-  EXPECT_EQ(stats.entry_bytes, 13u);
-  EXPECT_EQ(stats.fanout_dirs, 2u);
-  EXPECT_EQ(stats.temp_files, 1u);
-  EXPECT_EQ(stats.temp_bytes, 7u);
-  ASSERT_EQ(stats.versions.size(), 2u);
-  EXPECT_EQ(stats.versions[0], 1u);
-  EXPECT_EQ(stats.versions[1], 2u);
-  std::filesystem::remove_all(root);
-}
-
 TEST(ArtifactStore, TruncatedBlobThrows) {
   BlobWriter writer;
   writer.put_u64(99);
@@ -547,23 +509,6 @@ TEST(ArtifactStore, RequireExhaustedRejectsTrailingBytes) {
   reader.require_exhausted("entry");  // all consumed: no throw
 }
 
-TEST(ArtifactStore, MemoisedLoadSurvivesDiskEviction) {
-  const std::filesystem::path root =
-      std::filesystem::temp_directory_path() / "qvliw_test_artifacts_memo";
-  std::filesystem::remove_all(root);
-  const ArtifactStore store(root.string());
-
-  store.save(99, "memoised bytes");
-  std::filesystem::remove_all(root);  // disk copy gone; the index serves it
-  std::string blob;
-  ASSERT_TRUE(store.load(99, blob));
-  EXPECT_EQ(blob, "memoised bytes");
-
-  // A fresh store object has no index: the miss goes to (absent) disk.
-  const ArtifactStore cold(root.string());
-  EXPECT_FALSE(cold.load(99, blob));
-}
-
 TEST(ArtifactStore, MissesAreReprobedSoCrossProcessFillsAppear) {
   const std::filesystem::path root =
       std::filesystem::temp_directory_path() / "qvliw_test_artifacts_reprobe";
@@ -571,7 +516,7 @@ TEST(ArtifactStore, MissesAreReprobedSoCrossProcessFillsAppear) {
   const ArtifactStore reader(root.string());
 
   std::string blob;
-  EXPECT_FALSE(reader.load(5, blob));  // a miss must not be memoised
+  EXPECT_FALSE(reader.load(5, blob));
 
   // Another process (simulated by a second store object) installs the
   // entry; the same reader's next probe finds it on disk.
@@ -585,8 +530,7 @@ TEST(ArtifactStore, MissesAreReprobedSoCrossProcessFillsAppear) {
 // One ArtifactStore shared by every worker thread of a sweep: hammer
 // load/save on overlapping keys from many threads.  All writers write
 // the same payload per key, so any successful load must return exactly
-// that payload — a torn read, stale index entry, or data race under TSan
-// fails the test.
+// that payload — a torn read or a data race under TSan fails the test.
 TEST(ArtifactStore, ConcurrentThreadedLoadsAndSavesAreCoherent) {
   const std::filesystem::path root =
       std::filesystem::temp_directory_path() / "qvliw_test_artifacts_threads";

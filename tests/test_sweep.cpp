@@ -2,6 +2,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "harness/experiment.h"
 #include "harness/shard.h"
@@ -263,7 +266,9 @@ TEST(Sweep, WarmStoreFingerprintIdenticalAcrossWorkerCounts) {
     EXPECT_EQ(cold.cache.disk_hits, 0u) << workers << " workers";
     EXPECT_GT(warm.cache.disk_hits, 0u) << workers << " workers";
     if (workers == 1) {
-      EXPECT_GT(warm.cache.mii_disk_hits, 0u);
+      // The store holds front entries only: MII bounds never touch disk.
+      EXPECT_EQ(warm.cache.mii_disk_probes, 0u);
+      EXPECT_EQ(warm.cache.mii_disk_hits, 0u);
       EXPECT_GT(cold.cache.verify_memo_probes, 0u);
       EXPECT_GT(cold.cache.sched_memo_hits, 0u);
       cold_oracle = std::move(cold);
@@ -451,6 +456,19 @@ TEST(Sweep, DiskStoreWarmStartIsBitIdentical) {
   EXPECT_GT(warm.cache.disk_hits, 0u);
   EXPECT_EQ(warm.cache.disk_hits, warm.cache.disk_probes);  // fully warm
 
+  // Front entries only: one *.qart per cold disk probe under the fan-out
+  // directories, and nothing else (no MII blobs, no version markers).
+  std::uint64_t entries = 0;
+  for (const auto& top : std::filesystem::directory_iterator(store_dir)) {
+    EXPECT_TRUE(top.is_directory()) << top.path();
+  }
+  for (const auto& file : std::filesystem::recursive_directory_iterator(store_dir)) {
+    if (file.is_directory()) continue;
+    EXPECT_EQ(file.path().extension(), ".qart") << file.path();
+    ++entries;
+  }
+  EXPECT_EQ(entries, cold.cache.disk_probes);
+
   for (std::size_t p = 0; p < points.size(); ++p) {
     for (std::size_t i = 0; i < suite.loops.size(); ++i) {
       const std::string where = points[p].label + " / " + suite.loops[i].name;
@@ -513,10 +531,60 @@ TEST(Sweep, DiskStoreToleratesCorruptEntries) {
   for (std::size_t i = 0; i < suite.loops.size(); ++i) {
     expect_identical(warm.by_point[0][i], oracle.by_point[0][i], suite.loops[i].name);
   }
+
+  // Every truncation and every single-bit flip of one stored front entry
+  // must read as a miss: the warm run recomputes (disk_hits 0) and equals
+  // the uncached oracle.  Without the entry's payload checksum, flips that
+  // still decode to a valid loop would be replayed.
+  std::filesystem::remove_all(store_dir);
+  const std::vector<Loop> dot = {kernel_by_name("dot")};
+  const SweepPoint dot_point{"single-6fu", MachineConfig::single_cluster_machine(6), {}};
+  const SweepResult dot_cold = SweepRunner(disk_options).run(dot, {dot_point});
+  ASSERT_EQ(dot_cold.cache.disk_probes, 1u);
+  const std::string dot_oracle = sweep_result_fingerprint(SweepRunner().run(dot, {dot_point}));
+
+  std::filesystem::path entry;
+  for (const auto& file : std::filesystem::recursive_directory_iterator(store_dir)) {
+    if (file.is_regular_file()) entry = file.path();
+  }
+  ASSERT_FALSE(entry.empty());
+  std::string original;
+  {
+    std::ifstream in(entry, std::ios::binary);
+    original.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  ASSERT_FALSE(original.empty());
+
+  // A warm run recomputes and re-saves the entry, so each mutant is
+  // written just before its run.
+  std::size_t replayed = 0, diverged = 0;
+  std::string first_bad;
+  const auto run_mutant = [&](const std::string& bytes, const std::string& what) {
+    {
+      std::ofstream out(entry, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    const SweepResult mutant = SweepRunner(disk_options).run(dot, {dot_point});
+    const bool hit = mutant.cache.disk_hits != 0;
+    const bool differs = sweep_result_fingerprint(mutant) != dot_oracle;
+    replayed += hit ? 1 : 0;
+    diverged += differs ? 1 : 0;
+    if ((hit || differs) && first_bad.empty()) first_bad = what;
+  };
+  for (std::size_t length = 0; length < original.size(); ++length) {
+    run_mutant(original.substr(0, length), cat("truncated to ", length));
+  }
+  for (std::size_t bit = 0; bit < 8 * original.size(); ++bit) {
+    std::string flipped = original;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    run_mutant(flipped, cat("bit ", bit, " flipped"));
+  }
+  EXPECT_EQ(replayed, 0u) << "first: " << first_bad;
+  EXPECT_EQ(diverged, 0u) << "first: " << first_bad;
   std::filesystem::remove_all(store_dir);
 }
 
-// Memoised budget ladders: same machine and backend options with
+// Memoised budget ladders: same machine and scheduler options with
 // ascending budget_ratio.  Outcomes must be bit-identical to the uncached
 // sweep (an installed MII-optimal schedule only skips the search that
 // would rediscover it), with the sched-memo counters showing the skips
@@ -537,7 +605,7 @@ TEST(Sweep, WarmStartLadderMatchesColdSweep) {
     single.options.ims.budget_ratio = budget;
     points.push_back(single);
   }
-  // A moves point rides along: its backend declines seeds, so the memo
+  // A moves point rides along: the moves router declines seeds, so the memo
   // must neither probe for it nor install into it.
   SweepPoint moves{"ring4-moves", MachineConfig::clustered_machine(4), {}};
   moves.options.unroll = true;
@@ -579,38 +647,9 @@ TEST(Sweep, WarmStartLadderMatchesColdSweep) {
   EXPECT_LT(cached_placements, uncached_placements);
 }
 
-TEST(Sweep, MiiMapsPersistAcrossRuns) {
-  const std::filesystem::path store_dir =
-      std::filesystem::temp_directory_path() / "qvliw_test_store_mii";
-  std::filesystem::remove_all(store_dir);
-
-  const Suite suite = small_suite(6, 37);
-  SweepPoint point{"ring4", MachineConfig::clustered_machine(4), {}};
-  point.options.unroll = true;
-  point.options.scheduler = SchedulerKind::kClustered;
-
-  SweepOptions disk_options;
-  disk_options.store_dir = store_dir.string();
-  const SweepResult cold = SweepRunner(disk_options).run(suite.loops, {point});
-  EXPECT_GT(cold.cache.mii_disk_probes, 0u);
-  EXPECT_EQ(cold.cache.mii_disk_hits, 0u);
-
-  // A fresh process-equivalent run restores the MII maps from disk
-  // instead of recomputing them, with bit-identical results.
-  const SweepResult warm = SweepRunner(disk_options).run(suite.loops, {point});
-  EXPECT_GT(warm.cache.mii_disk_hits, 0u);
-  EXPECT_EQ(warm.cache.mii_disk_hits, warm.cache.mii_disk_probes);
-
-  const SweepResult oracle = SweepRunner().run(suite.loops, {point});
-  for (std::size_t i = 0; i < suite.loops.size(); ++i) {
-    expect_identical(warm.by_point[0][i], oracle.by_point[0][i], suite.loops[i].name);
-  }
-  std::filesystem::remove_all(store_dir);
-}
-
-// Regression: backends with different cache-key contributions must never
-// share a sched-memo (or any schedule) cache slot, even when every other
-// key component agrees.
+// Regression: scheduler kinds with different cache-key contributions must
+// never share a sched-memo (or any schedule) cache slot, even when every
+// other key component agrees.
 TEST(Sweep, BackendContributionsNeverAliasCacheSlots) {
   const MachineConfig machine = MachineConfig::clustered_machine(4);
 
@@ -635,21 +674,16 @@ TEST(Sweep, BackendContributionsNeverAliasCacheSlots) {
   EXPECT_EQ(ck.front, sk.front);
   EXPECT_EQ(ck.front, mk.front);
   EXPECT_EQ(ck.machine, sk.machine);
-  // ...but pairwise-distinct backend contributions.
-  EXPECT_NE(ck.backend, sk.backend);
-  EXPECT_NE(ck.backend, mk.backend);
-  EXPECT_NE(sk.backend, mk.backend);
-  EXPECT_NE(ck.backend, bk.backend);  // heuristic is part of the contribution
-
-  // The declared MII-consumption replaces the old wants_mii special case.
-  EXPECT_TRUE(ck.consumes_cached_mii);
-  EXPECT_TRUE(sk.consumes_cached_mii);
-  EXPECT_FALSE(mk.consumes_cached_mii);
+  // ...but pairwise-distinct scheduler contributions.
+  EXPECT_NE(ck.scheduler, sk.scheduler);
+  EXPECT_NE(ck.scheduler, mk.scheduler);
+  EXPECT_NE(sk.scheduler, mk.scheduler);
+  EXPECT_NE(ck.scheduler, bk.scheduler);  // heuristic is part of the contribution
 
   // Budget is the ladder axis: same memo slot by design.
   SweepPoint bigger = clustered;
   bigger.options.ims.budget_ratio = 12;
-  EXPECT_EQ(sweep_prefix_keys(bigger).backend, ck.backend);
+  EXPECT_EQ(sweep_prefix_keys(bigger).scheduler, ck.scheduler);
 }
 
 // A ladder containing *duplicate* budgets, unsorted: the memo walks the
